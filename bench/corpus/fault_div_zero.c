@@ -1,0 +1,15 @@
+int G;
+int Z;
+
+void *Worker(void *arg) {
+    G = 1 / Z;
+    return 0;
+}
+
+int main() {
+    pthread_t t;
+    pthread_create(&t, 0, Worker, 0);
+    G = 2;
+    pthread_join(t, 0);
+    return 0;
+}
