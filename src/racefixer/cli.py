@@ -20,6 +20,8 @@ from . import cst, detector, driver
 from .reports import format_summary, merge_runs, parse_report
 
 EXIT_INPUT_ERROR = 3
+_BOUND_HELP = ("schedules explored per detection run, counted after "
+              "partial-order reduction (default %(default)s)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,8 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fix.add_argument("--report", action="append", default=[], metavar="PATH",
                      help="sanitizer report file (repeatable; detector=report)")
     fix.add_argument("--max-iterations", type=int, default=10)
-    fix.add_argument("--bound", type=int, default=detector.DEFAULT_BOUND,
-                     help="interleaving exploration bound per detection run")
+    fix.add_argument("--bound", type=int, default=detector.DEFAULT_BOUND, help=_BOUND_HELP)
     out = fix.add_mutually_exclusive_group()
     out.add_argument("--in-place", action="store_true", help="rewrite the source file")
     out.add_argument("--out", metavar="PATH", help="write the patched source here")
@@ -48,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     det = sub.add_parser("detect", help="run the built-in race detector")
     det.add_argument("source")
-    det.add_argument("--bound", type=int, default=detector.DEFAULT_BOUND)
+    det.add_argument("--bound", type=int, default=detector.DEFAULT_BOUND, help=_BOUND_HELP)
     det.add_argument("--lockset-mode", choices=["hb", "lockset", "union"], default="hb")
     det.add_argument("--tsan-format", action="store_true",
                      help="print races in the sanitizer log dialect")

@@ -1,9 +1,19 @@
 """Execution-exploring race detector for the C subset.
 
 A deterministic interpreter runs the program one shared operation at a
-time; a depth-first scheduler enumerates thread interleavings, branching
-at every shared-variable access and synchronization operation, up to a
-configurable bound.  Along each schedule the detector keeps:
+time; a depth-first scheduler enumerates thread interleavings up to a
+configurable bound of schedules.  By default it uses dynamic
+partial-order reduction (Flanagan & Godefroid, POPL 2005) with sleep
+sets: after each schedule it computes happens-before over the executed
+trace and branches only where two dependent operations of different
+threads could run in the other order.  Operations are dependent when they
+touch the same variable (reads included), the same mutex, or are both
+thread creations.  Schedules that differ only in the order of
+independent operations give the same races, lockset results, deadlocks
+and diagnostics, so one of them is enough; the bound therefore counts
+reduced schedules.  ``reduction="none"`` branches at every operation and
+is kept as the test oracle for the reduction.  Along each schedule the
+detector keeps:
 
 * vector clocks, advanced over lock/unlock/create/join edges, for the
   precise happens-before race check;
@@ -498,6 +508,39 @@ def _thread_main(model: _Model, func: CstNode, arg: int):
 _RUNNABLE = "runnable"
 _FINISHED = "finished"
 
+# Operations of one class on the same object are dependent; a join has no
+# class, since its happens-before edge from the target already orders it.
+_CONFLICT_CLASS = {"read": "var", "write": "var", "lock": "mutex", "unlock": "mutex",
+                   "create": "create"}
+
+
+def _conflict_key(op: tuple):
+    """What `op` = (kind, object) conflicts on; None if nothing.
+
+    Every create conflicts with every other, because thread ids are
+    assigned in creation order.
+    """
+    cls = _CONFLICT_CLASS.get(op[0])
+    if cls is None or cls == "create":
+        return cls
+    return (cls, op[1])
+
+
+class _Step:
+    """One scheduling decision: who could run, who ran, and what each
+    live thread was about to do, as (kind, object) pairs."""
+
+    __slots__ = ("enabled", "choice", "pending")
+
+    def __init__(self, enabled: tuple, choice: int, pending: dict):
+        self.enabled = enabled
+        self.choice = choice
+        self.pending = pending  # tid -> (kind, object)
+
+    @property
+    def op(self) -> tuple:
+        return self.pending[self.choice]
+
 
 @dataclass
 class _ThreadState:
@@ -514,11 +557,12 @@ class _ThreadState:
 
 
 class _Run:
-    """Execute the program once, following a forced choice prefix."""
+    """Execute the program once; `choose(index, enabled, pending)` picks
+    the thread for each decision, or None to stop the run there."""
 
-    def __init__(self, model: _Model, prefix: tuple, step_budget: int, record_trace: bool):
+    def __init__(self, model: _Model, choose, step_budget: int, record_trace: bool):
         self.model = model
-        self.prefix = prefix
+        self.choose = choose
         self.step_budget = step_budget
         self.record_trace = record_trace
 
@@ -537,8 +581,7 @@ class _Run:
         self.ls_races: list[DetectedRace] = []
         self.deadlock: DeadlockRecord | None = None
         self.diagnostics: list[Diagnostic] = []
-        self.decisions: list[tuple[tuple, int]] = []
-        self.choices: list[int] = []
+        self.decisions: list[_Step] = []
         self.trace: list[tuple] = []
         self.aborted = False
         self.budget_exceeded = False
@@ -707,13 +750,11 @@ class _Run:
             if not enabled:
                 self._record_deadlock(alive)
                 return
-            index = len(self.decisions)
-            if index < len(self.prefix):
-                choice = self.prefix[index]
-            else:
-                choice = enabled[0]
-            self.decisions.append((enabled, choice))
-            self.choices.append(choice)
+            pending = {t.tid: t.pending[:2] for t in alive}
+            choice = self.choose(len(self.decisions), enabled, pending)
+            if choice is None:
+                return
+            self.decisions.append(_Step(enabled, choice, pending))
             self._execute(self.threads[choice])
 
     def _record_deadlock(self, alive: list) -> None:
@@ -729,7 +770,7 @@ class _Run:
             else:  # unreachable for a stuck thread
                 waiting = intent[0]
             blocked.append(BlockedThread(t.tid, waiting, tuple(sorted(t.held))))
-        self.deadlock = DeadlockRecord(tuple(blocked), tuple(self.choices))
+        self.deadlock = DeadlockRecord(tuple(blocked), tuple(s.choice for s in self.decisions))
 
 
 # ---------------------------------------------------------------------------
@@ -737,19 +778,186 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 
+class _Exhaustive:
+    """Every interleaving: each alternative at each decision is a new prefix.
+
+    Follows `prefix`, then lets the lowest enabled thread run.
+    """
+
+    def __init__(self, prefix: tuple = ()):
+        self.prefix = prefix
+        self.pending: list[tuple] = []
+
+    def choose(self, index: int, enabled: tuple, pending: dict):
+        return self.prefix[index] if index < len(self.prefix) else enabled[0]
+
+    def advance(self, run: _Run) -> bool:
+        choices = tuple(step.choice for step in run.decisions)
+        for i in range(len(choices) - 1, len(self.prefix) - 1, -1):
+            step = run.decisions[i]
+            for alt in reversed(step.enabled):
+                if alt != step.choice:
+                    self.pending.append(choices[:i] + (alt,))
+        if not self.pending:
+            return False
+        self.prefix = self.pending.pop()
+        return True
+
+
+class _Node:
+    """A state on the current DPOR path."""
+
+    __slots__ = ("enabled", "pending", "chosen", "backtrack", "sleep")
+
+    def __init__(self, enabled: tuple, pending: dict, chosen: int, sleep: dict):
+        self.enabled = enabled
+        self.pending = pending  # tid -> (kind, object), as in _Step
+        self.chosen = chosen
+        self.backtrack = {chosen}
+        # tid -> (kind, object): threads whose next step from here only
+        # leads to schedules equivalent to explored ones
+        self.sleep = sleep
+
+
+class _Dpor:
+    """Stateless DPOR with sleep sets (Flanagan & Godefroid, POPL 2005).
+
+    `stack` holds the states of the current schedule.  After each run the
+    races of its trace add threads to the backtrack sets of earlier
+    states; the next run replays the path up to the deepest state with a
+    backtrack thread left to try and not asleep, then takes it.
+    """
+
+    def __init__(self):
+        self.stack: list[_Node] = []
+
+    def choose(self, index: int, enabled: tuple, pending: dict):
+        if index < len(self.stack):
+            return self.stack[index].chosen
+        sleep = {}
+        if index:
+            parent = self.stack[index - 1]
+            key = _conflict_key(parent.pending[parent.chosen])
+            sleep = {tid: op for tid, op in parent.sleep.items()
+                     if key is None or _conflict_key(op) != key}
+        awake = [tid for tid in enabled if tid not in sleep]
+        if not awake:
+            return None  # every schedule from here is one already explored
+        self.stack.append(_Node(enabled, pending, awake[0], sleep))
+        return awake[0]
+
+    def advance(self, run: _Run) -> bool:
+        for state, tid in _reversals(run):
+            node = self.stack[state]
+            if tid in node.enabled:
+                node.backtrack.add(tid)
+            else:
+                node.backtrack.update(node.enabled)
+        while self.stack:
+            node = self.stack[-1]
+            node.sleep[node.chosen] = node.pending[node.chosen]
+            options = node.backtrack.difference(node.sleep)
+            if options:
+                node.chosen = min(options)
+                return True
+            self.stack.pop()
+        return False
+
+
+def _reversals(run: _Run) -> list[tuple[int, int]]:
+    """(state, thread) pairs where DPOR must also try running `thread`.
+
+    Happens-before over the run's trace is program order, create and join
+    edges, and the trace order of dependent operations.  A thread's next
+    operation races with every dependent operation of another thread
+    from the state where it became pending until it ran or the run
+    ended, and with the last dependent operation before that state, if
+    that one does not already happen before the thread.  Checking only
+    where the operation ran would miss a lock that waited on another
+    thread's critical section.  A run that aborted on a fault ends in an
+    operation that stops every other thread, so it depends on all of
+    their pending operations.
+    """
+    steps = run.decisions
+    n = len(steps)
+    if not n:
+        return []
+    final = {t.tid: t.pending[:2] for t in run.threads if t.status != _FINISHED}
+    if run.aborted:
+        final.pop(steps[-1].choice, None)  # its next operation never runs
+    pendings = [step.pending for step in steps] + [final]
+
+    # clocks[tid][u] is one more than the index of the latest event of
+    # thread u that happens before thread tid's next operation.
+    clocks: list[list[int]] = [[0] * MAX_THREADS]
+    event_clocks: list[list[int]] = []
+    last: dict = {}  # conflict key -> index of the latest event on it
+    waiting: dict = {}  # tid -> (conflict key, state it became pending)
+    found: list[tuple[int, int]] = []
+
+    def pend(tid: int, state: int) -> None:
+        key = _conflict_key(pendings[state][tid])
+        waiting[tid] = (key, state)
+        i = last.get(key)
+        if i is not None and clocks[tid][steps[i].choice] <= i:
+            found.append((i, tid))
+
+    pend(0, 0)
+    for k, step in enumerate(steps):
+        tid = step.choice
+        op = step.op
+        key = _conflict_key(op)
+        if key is not None:
+            found.extend((k, other) for other, (wkey, _) in waiting.items()
+                         if wkey == key and other != tid)
+        clock = clocks[tid][:]
+        sources = []
+        if key in last:
+            sources.append(event_clocks[last[key]])
+        if op[0] == "join" and isinstance(op[1], int) and op[1] < len(clocks):
+            sources.append(clocks[op[1]])
+        for other in sources:
+            clock = [max(a, b) for a, b in zip(clock, other)]
+        clock[tid] = k + 1
+        event_clocks.append(clock)
+        clocks[tid] = clock
+        if key is not None:
+            last[key] = k
+        if op[0] == "create":
+            child = len(clocks)
+            clocks.append(clock)
+            if child in pendings[k + 1]:
+                pend(child, k + 1)
+        if tid in pendings[k + 1]:
+            pend(tid, k + 1)
+        else:
+            waiting.pop(tid, None)
+    if run.aborted:
+        found.extend((n - 1, tid) for tid, (_, since) in waiting.items() if since < n)
+    return found
+
+
 def explore(
     tree: CstNode,
     bound: int = DEFAULT_BOUND,
     step_budget: int = DEFAULT_STEP_BUDGET,
     record_traces: bool = False,
+    reduction: str = "dpor",
 ) -> Verdict:
-    """Depth-first enumeration of schedules up to `bound` executions.
+    """Depth-first search of schedules, up to `bound` executions.
 
-    Every shared-variable access and synchronization operation is a
-    scheduling point; the first enabled thread runs by default and every
-    alternative becomes a new prefix to explore.  Results are aggregated
+    With ``reduction="dpor"`` (the default) only schedules that reorder
+    dependent operations are explored; ``"none"`` branches at every
+    shared-variable access and synchronization operation and serves as
+    the oracle the reduction is tested against.  Results are aggregated
     across schedules and deduplicated.
     """
+    if reduction == "dpor":
+        search = _Dpor()
+    elif reduction == "none":
+        search = _Exhaustive()
+    else:
+        raise ValueError(f"unknown reduction: {reduction!r}")
     model = build_model(tree)
 
     hb: dict = {}
@@ -760,13 +968,12 @@ def explore(
     explored = 0
     truncated = False
 
-    pending: list[tuple] = [()]
-    while pending:
+    more = True
+    while more:
         if explored >= bound:
             truncated = True
             break
-        prefix = pending.pop()
-        run = _Run(model, prefix, step_budget, record_traces)
+        run = _Run(model, search.choose, step_budget, record_traces)
         run.execute()
         explored += 1
 
@@ -782,12 +989,7 @@ def explore(
             truncated = True
         if record_traces:
             traces.append(tuple(run.trace))
-
-        for i in range(len(run.decisions) - 1, len(prefix) - 1, -1):
-            enabled, chosen = run.decisions[i]
-            for alt in reversed(enabled):
-                if alt != chosen:
-                    pending.append(tuple(run.choices[:i]) + (alt,))
+        more = search.advance(run)
 
     return Verdict(
         hb_races=tuple(sorted(hb.values(), key=DetectedRace.key)),
@@ -802,7 +1004,8 @@ def explore(
 
 def replay(tree: CstNode, schedule: tuple, step_budget: int = DEFAULT_STEP_BUDGET) -> _Run:
     """Re-execute one recorded schedule prefix; used to confirm deadlocks."""
-    run = _Run(build_model(tree), tuple(schedule), step_budget, record_trace=True)
+    search = _Exhaustive(tuple(schedule))
+    run = _Run(build_model(tree), search.choose, step_budget, record_trace=True)
     run.execute()
     return run
 

@@ -98,9 +98,9 @@ def render_diff(before: str, after: str, name: str = "source") -> str:
     return "".join(diff)
 
 
-def _detect(text: str, config: FixConfig, source_name: str):
-    """Run the built-in detector; returns (race set, verdict, advisories)."""
-    tree = cst.parse_source(text)
+def _detect(tree, config: FixConfig, source_name: str):
+    """Run the built-in detector on a parsed text; returns (race set,
+    verdict, advisories)."""
     verdict = race_detector.explore(tree, bound=config.bound)
     races, advisories = race_detector.hybrid_verdict(
         verdict.hb_races, verdict.lockset_races, config.lockset_mode, source_name
@@ -210,9 +210,11 @@ def run(config: FixConfig) -> FixReport:
 
     builtin = config.detector == "builtin"
     races: RaceSet
+    tree = None  # parse of `text`, made once and shared by detection and planning
     verdict = None
     if builtin:
-        races, verdict, advisories = _detect(text, config, source_name)
+        tree = cst.parse_source(text)
+        races, verdict, advisories = _detect(tree, config, source_name)
         report.diagnostics.extend(advisories)
     else:
         parsed = [parse_report(Path(p).read_text(encoding="utf-8")) for p in config.reports]
@@ -236,7 +238,8 @@ def run(config: FixConfig) -> FixReport:
                 report.status = STATUS_CLEAN
             break
 
-        tree = cst.parse_source(text)
+        if tree is None:
+            tree = cst.parse_source(text)
         patches = _plan_patches(tree, races, record, report.diagnostics)
         coalesced = transform.coalesce(patches, text)
         for patch, reason in coalesced.deferred:
@@ -248,14 +251,14 @@ def run(config: FixConfig) -> FixReport:
             break
 
         new_text = cst.apply_edits(text, coalesced.edits)
-        cst.parse_source(new_text)  # the patched text must stay parseable
+        new_tree = cst.parse_source(new_text)  # the patched text must stay parseable
 
         if builtin:
-            new_races, new_verdict, advisories = _detect(new_text, config, source_name)
-            record.races_after = len(new_races)
-            record.deadlocks_after = len(new_verdict.deadlocks)
+            races, verdict, advisories = _detect(new_tree, config, source_name)
+            record.races_after = len(races)
+            record.deadlocks_after = len(verdict.deadlocks)
             introduced = [
-                d for d in new_verdict.deadlocks if d.involves(MUTEX_PREFIX)
+                d for d in verdict.deadlocks if d.involves(MUTEX_PREFIX)
             ]
             if introduced:
                 report.diagnostics.append(Diagnostic(
@@ -265,11 +268,9 @@ def run(config: FixConfig) -> FixReport:
                 ))
                 report.status = STATUS_DEADLOCK
                 break  # text deliberately not updated: rollback
-            text = new_text
-            races, verdict = new_races, new_verdict
             report.diagnostics.extend(advisories)
-        else:
-            text = new_text
+        text, tree = new_text, new_tree
+        if not builtin:
             if record.skipped:
                 # Some reported races could not be acted on; they remain.
                 report.status = STATUS_NOTHING
@@ -285,6 +286,16 @@ def run(config: FixConfig) -> FixReport:
             report.status = STATUS_CLEAN
         else:
             report.status = STATUS_CAP
+
+    if verdict is not None and verdict.truncated:
+        # `verdict` is the check behind the final status, also after a rollback
+        cause = (f"the bound of {config.bound} schedules" if verdict.explored >= config.bound
+                 else "a thread's step budget")
+        report.diagnostics.append(Diagnostic(
+            "warning",
+            f"status={report.status} rests on a truncated search: exploration "
+            f"stopped at {cause}, so races or deadlocks may be missing",
+        ))
 
     report.final_text = text
     _write_output(config, report)

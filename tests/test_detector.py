@@ -184,22 +184,33 @@ class TestExplore:
             assert run.deadlock is not None
             assert run.deadlock.threads == deadlock.threads
 
+    @staticmethod
+    def _disjoint_writers(k: int) -> str:
+        body1 = "\n".join(f"    A = {i};" for i in range(k))
+        body2 = "\n".join(f"    B = {i};" for i in range(k))
+        return (
+            "int A;\nint B;\n\n"
+            "void *Thread1(void *x) {\n" + body1 + "\n    return 0;\n}\n\n"
+            "int main() {\n    pthread_t t;\n"
+            "    pthread_create(&t, 0, Thread1, 0);\n"
+            + body2 + "\n    pthread_join(t, 0);\n    return 0;\n}\n"
+        )
+
     def test_schedule_count_is_binomial(self):
         # k independent accesses per thread, no synchronization between
         # them: the number of complete interleavings is C(2k, k)
         for k in (1, 2, 3, 4):
-            body1 = "\n".join(f"    A = {i};" for i in range(k))
-            body2 = "\n".join(f"    B = {i};" for i in range(k))
-            source = (
-                "int A;\nint B;\n\n"
-                "void *Thread1(void *x) {\n" + body1 + "\n    return 0;\n}\n\n"
-                "int main() {\n    pthread_t t;\n"
-                "    pthread_create(&t, 0, Thread1, 0);\n"
-                + body2 + "\n    pthread_join(t, 0);\n    return 0;\n}\n"
-            )
-            verdict = explore(parse_source(source))
+            verdict = explore(parse_source(self._disjoint_writers(k)), reduction="none")
             assert verdict.explored == math.comb(2 * k, k), f"k={k}"
             assert verdict.hb_races == ()  # disjoint variables
+
+    def test_reduction_explores_one_schedule_of_independent_writes(self):
+        # all those interleavings are equivalent: none reorders two
+        # accesses to one variable
+        for k in (1, 2, 3, 4):
+            verdict = explore(parse_source(self._disjoint_writers(k)))
+            assert verdict.explored == 1, f"k={k}"
+            assert verdict.hb_races == ()
 
     def test_self_deadlock_diagnosed(self):
         verdict = explore(parse_source(corpus("self_deadlock.c")))
@@ -267,9 +278,12 @@ ORACLE_PROGRAMS = [
 
 
 class TestOracleEquivalence:
+    reduction = "dpor"
+
     @pytest.mark.parametrize("name", ORACLE_PROGRAMS)
     def test_hb_races_match_brute_force(self, name):
-        verdict = explore(parse_source(corpus(name)), record_traces=True)
+        verdict = explore(parse_source(corpus(name)), record_traces=True,
+                          reduction=self.reduction)
         expected = all_races(verdict.traces)
         got = {
             (r.variable, tuple(sorted([r.current.coord, r.previous.coord])))
@@ -279,7 +293,8 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("name", ["race_plain.c", "race_two_vars.c", "deadlock_abba.c"])
     def test_every_race_has_adjacent_witness(self, name):
-        verdict = explore(parse_source(corpus(name)), record_traces=True)
+        verdict = explore(parse_source(corpus(name)), record_traces=True,
+                          reduction=self.reduction)
         for race in verdict.hb_races:
             coords = {race.current.coord, race.previous.coord}
             witnessed = False
@@ -292,6 +307,12 @@ class TestOracleEquivalence:
                     ):
                         witnessed = True
             assert witnessed, f"no adjacent witness for {race.key()}"
+
+
+class TestOracleEquivalenceExhaustive(TestOracleEquivalence):
+    """The same checks over every interleaving, not one per class."""
+
+    reduction = "none"
 
 
 class TestTsanLogRoundTrip:

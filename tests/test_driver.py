@@ -192,6 +192,21 @@ class TestCli:
         assert code == 2
         assert "status=DeadlockIntroduced" in capsys.readouterr().out
 
+    def test_fix_verbose_warns_when_search_truncated(self, tmp_source, capsys):
+        path = tmp_source("race_while.c")
+        code = cli_main(["fix", str(path), "--bound", "1"])
+        quiet = capsys.readouterr()
+        assert cli_main(["fix", str(path), "--bound", "1", "--verbose"]) == code
+        verbose = capsys.readouterr()
+        assert verbose.out == quiet.out  # log and diff unchanged
+        assert "truncated search" in verbose.err
+        assert "bound of 1 schedules" in verbose.err
+
+    def test_fix_verbose_silent_about_complete_search(self, tmp_source, capsys):
+        path = tmp_source("race_while.c")
+        cli_main(["fix", str(path), "--verbose"])
+        assert "truncated" not in capsys.readouterr().err
+
     def test_fix_nothing_fixable_exit_one(self, tmp_source, capsys):
         path = tmp_source("return_race.c")
         code = cli_main(["fix", str(path)])

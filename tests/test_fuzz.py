@@ -19,10 +19,19 @@ FUZZ_BOUND = 20_000
 
 @pytest.mark.parametrize("seed", DETECTOR_SEEDS)
 def test_detector_matches_oracle_on_generated_programs(seed):
+    check_detector_against_oracle(seed, "dpor")
+
+
+@pytest.mark.parametrize("seed", DETECTOR_SEEDS)
+def test_exhaustive_detector_matches_oracle_on_generated_programs(seed):
+    check_detector_against_oracle(seed, "none")
+
+
+def check_detector_against_oracle(seed: int, reduction: str) -> None:
     source = generate_concurrent(seed)
     tree = parse_source(source)
     assert emit(tree) == source
-    verdict = explore(tree, bound=FUZZ_BOUND, record_traces=True)
+    verdict = explore(tree, bound=FUZZ_BOUND, record_traces=True, reduction=reduction)
     assert not verdict.truncated, "generated program exceeded the fuzz bound"
     expected = all_races(verdict.traces)
     got = {
