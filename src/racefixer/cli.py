@@ -76,7 +76,6 @@ def _cmd_fix(args) -> int:
         output=output,
         out_path=args.out,
         lockset_mode=args.lockset_mode,
-        verbose=args.verbose,
     )
     report = driver.run(config)
     for line in report.log_lines():

@@ -14,15 +14,25 @@ Grammar accepted (top level):
     int NAME() { ... }
 
 Statements: expression statements, ``int``/``pthread_t`` declarations,
-compound blocks, ``if``/``else``, ``while``, ``return``.  Expressions:
-integer literals, identifiers, ``&x``, unary ``-``/``!``, the usual
-binary operators, ``=`` and ``+=``.  ``//`` and ``/* */`` comments are
-preserved as trivia.
+compound blocks, ``if``/``else``, ``while``, ``break``/``continue`` (inside
+a ``while`` only), ``return``.  Expressions: integer literals,
+identifiers, ``&x``, unary ``-``/``!``, the usual binary operators, ``=``
+and ``+=``.  ``//`` and ``/* */`` comments are preserved as trivia.
+
+The tree is built in a single pass over the tokens, with no later walk.
+One compiled regular expression splits the text into tokens, each
+carrying its leading trivia.  A recursive-descent parser, with precedence
+climbing for the binary operators, builds each node once its children
+are parsed and sets their parent links then.  A node's span is computed
+from its first and last token when first read.  The root indexes its
+``Identifier`` nodes by name for ``locate``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
+from functools import cached_property
 
 from .reports import SourceCoord
 
@@ -36,6 +46,8 @@ EXPR_STMT = "ExprStmt"
 IF_STMT = "IfStmt"
 WHILE_STMT = "WhileStmt"
 RETURN_STMT = "ReturnStmt"
+BREAK_STMT = "BreakStmt"
+CONTINUE_STMT = "ContinueStmt"
 DECL_STMT = "DeclStmt"
 CALL_EXPR = "CallExpr"
 BINARY_EXPR = "BinaryExpr"
@@ -45,9 +57,10 @@ IDENTIFIER = "Identifier"
 INT_LITERAL = "IntLiteral"
 ADDR_OF = "AddrOf"
 
-STATEMENT_KINDS = frozenset(
-    {EXPR_STMT, DECL_STMT, COMPOUND_STMT, IF_STMT, WHILE_STMT, RETURN_STMT}
-)
+STATEMENT_KINDS = frozenset({
+    EXPR_STMT, DECL_STMT, COMPOUND_STMT, IF_STMT, WHILE_STMT, RETURN_STMT, BREAK_STMT,
+    CONTINUE_STMT,
+})
 
 # Roles a located statement can play
 ROLE_PLAIN = "PlainStatement"
@@ -56,12 +69,10 @@ ROLE_ELSE_IF_CONDITION = "ElseIfCondition"
 ROLE_WHILE_CONDITION = "WhileCondition"
 ROLE_UNSUPPORTED = "Unsupported"
 
-KEYWORDS = frozenset(
-    {"int", "void", "return", "if", "else", "while", "pthread_mutex_t", "pthread_t"}
-)
-
-_PUNCT2 = ("&&", "||", "==", "!=", "<=", ">=", "+=")
-_PUNCT1 = "(){};,=<>+-*/%!&"
+KEYWORDS = frozenset({
+    "int", "void", "return", "if", "else", "while", "break", "continue", "pthread_mutex_t",
+    "pthread_t",
+})
 
 
 class ParseError(Exception):
@@ -98,14 +109,17 @@ class Span:
         return self.start.column <= coord.column < max(self.end.column, self.start.column + 1)
 
 
-@dataclass(eq=False)
 class Token:
-    kind: str  # "ident" | "number" | "punct" | "eof"
-    text: str
-    leading: str  # whitespace/comments preceding the token, verbatim
-    offset: int  # offset of the token text (leading trivia comes before)
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "leading", "offset", "line", "column")
+
+    def __init__(self, kind: str, text: str, leading: str, offset: int, line: int,
+                 column: int):
+        self.kind = kind  # "ident" | "number" | "punct" | "eof"
+        self.text = text
+        self.leading = leading  # whitespace/comments preceding the token, verbatim
+        self.offset = offset  # offset of the token text (leading trivia comes before)
+        self.line = line
+        self.column = column
 
     @property
     def end(self) -> int:
@@ -115,15 +129,37 @@ class Token:
         return f"Token({self.kind}, {self.text!r}, @{self.line}:{self.column})"
 
 
-@dataclass(eq=False)
 class CstNode:
-    kind: str
-    children: list = field(default_factory=list)
-    parent: "CstNode | None" = field(default=None, repr=False)
-    span: Span | None = field(default=None, repr=False)
+    """A node: its kind, its children (nodes and tokens) in source order,
+    its parent, its span, and the named attributes of its grammar rule.
+
+    The span is computed from the first and last token on first use.
+    """
+
+    def __init__(self, kind: str, children: list | None = None,
+                 parent: "CstNode | None" = None, span: Span | None = None):
+        self.kind = kind
+        self.children = [] if children is None else children
+        self.parent = parent
+        if span is not None:
+            self.span = span
+
+    @cached_property
+    def span(self) -> Span:
+        first = last = self
+        while isinstance(first, CstNode):
+            first = first.children[0]
+        while isinstance(last, CstNode):
+            last = last.children[-1]
+        return Span(
+            first.offset,
+            last.end,
+            SourceCoord(first.line, first.column),
+            SourceCoord(last.line, last.column + len(last.text)),
+        )
 
     def __repr__(self) -> str:
-        at = f"@{self.span.start}" if self.span else ""
+        at = f"@{self.span.start}" if self.children else ""
         return f"<{self.kind}{at}>"
 
     def tokens(self):
@@ -134,10 +170,12 @@ class CstNode:
                 yield from child.tokens()
 
     def walk(self):
-        yield self
-        for child in self.children:
-            if isinstance(child, CstNode):
-                yield from child.walk()
+        """This node and every node below it, in source order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack += [c for c in reversed(node.children) if isinstance(c, CstNode)]
 
     def child_nodes(self):
         return [c for c in self.children if isinstance(c, CstNode)]
@@ -189,110 +227,96 @@ class TextEdit:
 # Lexer
 # ---------------------------------------------------------------------------
 
+# Leading trivia, then at most one token: an identifier, a number, or a
+# punctuator (two-character ones first).  ``\w`` is ``str.isalnum`` plus
+# ``_``, so non-ASCII letters may appear in names.  No token matched means
+# the end of the text or a character that starts no token.
+_TOKEN_RE = re.compile(
+    r"([ \t\r\n]*(?:/(?:/[^\n]*|\*.*?\*/)[ \t\r\n]*)*)"
+    r"(?:([^\W\d]\w*)|(\d+)|(&&|\|\||[=!<>+]=?|[(){};,\-*/%&]))?",
+    re.DOTALL,
+)
+
 
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance_over(segment: str) -> None:
-        nonlocal line, col
-        newlines = segment.count("\n")
-        if newlines:
-            line += newlines
-            col = len(segment) - segment.rfind("\n")
+    append = tokens.append
+    offset, line, line_start = 0, 1, 0  # offset: where the next leading trivia starts
+    check_names = not text.isascii()
+    for leading, word, number, punct in _TOKEN_RE.findall(text):
+        pos = offset + len(leading)
+        if "\n" in leading:
+            line += leading.count("\n")
+            line_start = offset + leading.rfind("\n") + 1
+        column = pos - line_start + 1
+        if word:
+            # [^\W\d] also matches non-decimal numerals such as '½'
+            if check_names and not (word[0].isalpha() or word[0] == "_"):
+                raise ParseError(f"unexpected character {word[0]!r}", line, column, pos)
+            append(Token("ident", word, leading, pos, line, column))
+            offset = pos + len(word)
+        elif punct:
+            if punct == "/" and text.startswith("*", pos + 1):
+                # a closed comment would have been trivia
+                raise ParseError("unterminated block comment", line, column, pos)
+            append(Token("punct", punct, leading, pos, line, column))
+            offset = pos + len(punct)
+        elif number:
+            append(Token("number", number, leading, pos, line, column))
+            offset = pos + len(number)
+        elif pos < len(text):
+            raise ParseError(f"unexpected character {text[pos]!r}", line, column, pos)
         else:
-            col += len(segment)
-
-    while True:
-        lead_start = i
-        while i < n:
-            c = text[i]
-            if c in " \t\r\n":
-                i += 1
-            elif c == "/" and text[i : i + 2] == "//":
-                j = text.find("\n", i)
-                i = n if j < 0 else j
-            elif c == "/" and text[i : i + 2] == "/*":
-                j = text.find("*/", i + 2)
-                if j < 0:
-                    advance_over(text[lead_start:i])
-                    raise ParseError("unterminated block comment", line, col, i)
-                i = j + 2
-            else:
-                break
-        leading = text[lead_start:i]
-        advance_over(leading)
-
-        if i >= n:
-            tokens.append(Token("eof", "", leading, i, line, col))
+            append(Token("eof", "", leading, pos, line, column))
             return tokens
-
-        start, start_line, start_col = i, line, col
-        c = text[i]
-        if c.isalpha() or c == "_":
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tok = Token("ident", text[start:i], leading, start, start_line, start_col)
-        elif c.isdigit():
-            while i < n and text[i].isdigit():
-                i += 1
-            tok = Token("number", text[start:i], leading, start, start_line, start_col)
-        elif text[i : i + 2] in _PUNCT2:
-            i += 2
-            tok = Token("punct", text[start:i], leading, start, start_line, start_col)
-        elif c in _PUNCT1:
-            i += 1
-            tok = Token("punct", c, leading, start, start_line, start_col)
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col, i)
-        advance_over(tok.text)
-        tokens.append(tok)
+    raise AssertionError("unreachable: the pattern matches at the end of the text")
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
+# Binding power of each binary operator, all left-associative; higher binds
+# tighter.  Assignment (right-associative) sits below all of them.
+_BINARY_PREC = {
+    "||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
+}
+
 
 class _Parser:
+    """Recursive descent over the token list; ``tok`` is the current token.
+
+    A token is recognised by its text alone: punctuators, numbers and
+    identifiers (keywords included) never share a spelling.  Every node is
+    built once its children are parsed, and sets their parent links then.
+    """
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
-
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+        self.tok = tokens[0]
+        self.loops = 0  # while statements around the current token
+        self.identifiers: dict[str, list[CstNode]] = {}
 
     def take(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
+        # Callers check the current token first, so the end token is never taken.
+        tok = self.tok
+        self.i += 1
+        self.tok = self.tokens[self.i]
         return tok
 
-    def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
+    def fail(self, message: str):
+        tok = self.tok
         raise ParseError(message, tok.line, tok.column, tok.offset)
 
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
-
-    def at_word(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
-
-    def expect_punct(self, text: str) -> Token:
-        if not self.at_punct(text):
+    def expect(self, text: str) -> Token:
+        if self.tok.text != text:
             self.fail(f"expected '{text}'")
         return self.take()
 
-    def expect_word(self, word: str) -> Token:
-        if not self.at_word(word):
-            self.fail(f"expected '{word}'")
-        return self.take()
-
-    def expect_name(self) -> Token:
-        tok = self.peek()
+    def name(self) -> Token:
+        tok = self.tok
         if tok.kind != "ident":
             self.fail("expected an identifier")
         if tok.text in KEYWORDS:
@@ -302,341 +326,291 @@ class _Parser:
     # --- top level ---
 
     def translation_unit(self) -> CstNode:
-        tu = CstNode(TRANSLATION_UNIT)
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                tu.children.append(self.tokens[self.i])
-                return tu
-            if self.at_word("int"):
-                if self.peek(1).kind == "ident" and self.peek(2).kind == "punct" \
-                        and self.peek(2).text == "(":
-                    tu.children.append(self.int_function())
+        children = []
+        while self.tok.kind != "eof":
+            word = self.tok.text
+            if word == "int":
+                if self.tokens[self.i + 1].kind == "ident" \
+                        and self.tokens[self.i + 2].text == "(":
+                    children.append(self.function())
                 else:
-                    tu.children.append(self.var_decl())
-            elif self.at_word("void"):
-                tu.children.append(self.ptr_function())
-            elif self.at_word("pthread_mutex_t"):
-                tu.children.append(self.mutex_decl())
+                    children.append(self.declaration(VAR_DECL))
+            elif word == "void":
+                children.append(self.function())
+            elif word == "pthread_mutex_t":
+                children.append(self.mutex_decl())
             else:
                 self.fail("expected a declaration or function definition")
+        children.append(self.tok)
+        tu = CstNode(TRANSLATION_UNIT, children)
+        for child in children[:-1]:
+            child.parent = tu
+        return tu
 
-    def var_decl(self) -> CstNode:
-        node = CstNode(VAR_DECL)
-        node.children.append(self.expect_word("int"))
-        name = self.expect_name()
-        node.children.append(name)
+    def declaration(self, kind: str) -> CstNode:
+        """``TYPE NAME [= expr];``, with TYPE the current token."""
+        type_tok = self.take()
+        name = self.name()
+        children = [type_tok, name]
+        init = None
+        if self.tok.text == "=":
+            children.append(self.take())
+            init = self.expression()
+            children.append(init)
+        children.append(self.expect(";"))
+        node = CstNode(kind, children)
+        if init is not None:
+            init.parent = node
+        if kind == DECL_STMT:
+            node.type_name = type_tok.text
         node.name = name.text
         node.name_token = name
-        node.init = None
-        if self.at_punct("="):
-            node.children.append(self.take())
-            init = self.expression()
-            node.children.append(init)
-            node.init = init
-        node.children.append(self.expect_punct(";"))
+        node.init = init
         return node
 
     def mutex_decl(self) -> CstNode:
-        node = CstNode(MUTEX_DECL)
-        node.children.append(self.expect_word("pthread_mutex_t"))
-        name = self.expect_name()
-        node.children.append(name)
-        node.name = name.text
-        node.name_token = name
-        node.children.append(self.expect_punct("="))
-        init = self.peek()
-        if init.kind != "ident" or init.text != "PTHREAD_MUTEX_INITIALIZER":
+        children = [self.take(), self.name(), self.expect("=")]
+        if self.tok.text != "PTHREAD_MUTEX_INITIALIZER":
             self.fail("expected PTHREAD_MUTEX_INITIALIZER")
-        node.children.append(self.take())
-        node.children.append(self.expect_punct(";"))
+        children += [self.take(), self.expect(";")]
+        node = CstNode(MUTEX_DECL, children)
+        node.name_token = children[1]
+        node.name = node.name_token.text
         return node
 
-    def int_function(self) -> CstNode:
-        node = CstNode(FUNC_DEF)
-        node.children.append(self.expect_word("int"))
-        name = self.expect_name()
-        node.children.append(name)
+    def function(self) -> CstNode:
+        """``int NAME() {...}`` or ``void *NAME(void *[ARG]) {...}``."""
+        children = [self.take()]
+        pointer = children[0].text == "void"
+        if pointer:
+            children.append(self.expect("*"))
+        name = self.name()
+        children += [name, self.expect("(")]
+        param = None
+        if pointer:
+            children += [self.expect("void"), self.expect("*")]
+            if self.tok.kind == "ident":
+                children.append(self.name())
+                param = children[-1].text
+        children.append(self.expect(")"))
+        body = self.compound()
+        children.append(body)
+        node = CstNode(FUNC_DEF, children)
+        body.parent = node
         node.name = name.text
         node.name_token = name
-        node.children.append(self.expect_punct("("))
-        node.children.append(self.expect_punct(")"))
-        node.param = None
-        body = self.compound()
-        node.children.append(body)
-        node.body = body
-        return node
-
-    def ptr_function(self) -> CstNode:
-        node = CstNode(FUNC_DEF)
-        node.children.append(self.expect_word("void"))
-        node.children.append(self.expect_punct("*"))
-        name = self.expect_name()
-        node.children.append(name)
-        node.name = name.text
-        node.name_token = name
-        node.children.append(self.expect_punct("("))
-        node.children.append(self.expect_word("void"))
-        node.children.append(self.expect_punct("*"))
-        node.param = None
-        if self.peek().kind == "ident":
-            param = self.expect_name()
-            node.children.append(param)
-            node.param = param.text
-        node.children.append(self.expect_punct(")"))
-        body = self.compound()
-        node.children.append(body)
+        node.param = param
         node.body = body
         return node
 
     # --- statements ---
 
     def compound(self) -> CstNode:
-        node = CstNode(COMPOUND_STMT)
-        node.lbrace = self.expect_punct("{")
-        node.children.append(node.lbrace)
-        node.statements = []
-        while not self.at_punct("}"):
-            if self.peek().kind == "eof":
+        lbrace = self.expect("{")
+        children = [lbrace]
+        statements = []
+        while self.tok.text != "}":
+            if self.tok.kind == "eof":
                 self.fail("unterminated block; expected '}'")
             stmt = self.statement()
-            node.children.append(stmt)
-            node.statements.append(stmt)
-        node.rbrace = self.take()
-        node.children.append(node.rbrace)
+            children.append(stmt)
+            statements.append(stmt)
+        rbrace = self.take()
+        children.append(rbrace)
+        node = CstNode(COMPOUND_STMT, children)
+        for stmt in statements:
+            stmt.parent = node
+        node.lbrace = lbrace
+        node.statements = statements
+        node.rbrace = rbrace
         return node
 
     def statement(self) -> CstNode:
-        if self.at_punct("{"):
+        tok = self.tok
+        text = tok.text
+        if text == "{":
             return self.compound()
-        if self.at_word("if"):
+        if text == "if":
             return self.if_stmt()
-        if self.at_word("while"):
+        if text == "while":
             return self.while_stmt()
-        if self.at_word("return"):
+        if text == "return":
             return self.return_stmt()
-        if self.at_word("int") or self.at_word("pthread_t"):
-            return self.decl_stmt()
-        if self.at_word("else"):
+        if text == "int" or text == "pthread_t":
+            return self.declaration(DECL_STMT)
+        if text == "break" or text == "continue":
+            if not self.loops:
+                self.fail(f"'{text}' outside a loop")
+            return CstNode(BREAK_STMT if text == "break" else CONTINUE_STMT,
+                           [self.take(), self.expect(";")])
+        if text == "else":
             self.fail("'else' without a matching 'if'")
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text not in ("(", "!", "-", "&"):
+        if tok.kind == "punct" and text not in ("(", "!", "-", "&"):
             self.fail("expected a statement")
-        node = CstNode(EXPR_STMT)
         expr = self.expression()
-        node.children.append(expr)
+        node = CstNode(EXPR_STMT, [expr, self.expect(";")])
+        expr.parent = node
         node.expr = expr
-        node.children.append(self.expect_punct(";"))
         return node
 
     def if_stmt(self) -> CstNode:
-        node = CstNode(IF_STMT)
-        node.if_token = self.expect_word("if")
-        node.children.append(node.if_token)
-        node.children.append(self.expect_punct("("))
+        if_token = self.take()
+        children = [if_token, self.expect("(")]
         cond = self.expression()
-        node.children.append(cond)
-        node.cond = cond
-        node.children.append(self.expect_punct(")"))
+        children += [cond, self.expect(")")]
         then = self.statement()
-        node.children.append(then)
-        node.then = then
-        node.else_token = None
-        node.els = None
-        if self.at_word("else"):
-            node.else_token = self.take()
-            node.children.append(node.else_token)
+        children.append(then)
+        else_token = els = None
+        if self.tok.text == "else":
+            else_token = self.take()
             els = self.statement()
-            node.children.append(els)
-            node.els = els
+            children += [else_token, els]
+        node = CstNode(IF_STMT, children)
+        cond.parent = then.parent = node
+        if els is not None:
+            els.parent = node
+        node.if_token = if_token
+        node.cond = cond
+        node.then = then
+        node.else_token = else_token
+        node.els = els
         return node
 
     def while_stmt(self) -> CstNode:
-        node = CstNode(WHILE_STMT)
-        node.while_token = self.expect_word("while")
-        node.children.append(node.while_token)
-        node.children.append(self.expect_punct("("))
+        while_token = self.take()
+        children = [while_token, self.expect("(")]
         cond = self.expression()
-        node.children.append(cond)
-        node.cond = cond
-        node.children.append(self.expect_punct(")"))
+        children += [cond, self.expect(")")]
+        self.loops += 1
         body = self.statement()
-        node.children.append(body)
+        self.loops -= 1
+        children.append(body)
+        node = CstNode(WHILE_STMT, children)
+        cond.parent = body.parent = node
+        node.while_token = while_token
+        node.cond = cond
         node.body = body
         return node
 
     def return_stmt(self) -> CstNode:
-        node = CstNode(RETURN_STMT)
-        node.children.append(self.expect_word("return"))
-        node.expr = None
-        if not self.at_punct(";"):
+        children = [self.take()]
+        expr = None
+        if self.tok.text != ";":
             expr = self.expression()
-            node.children.append(expr)
-            node.expr = expr
-        node.children.append(self.expect_punct(";"))
+            children.append(expr)
+        children.append(self.expect(";"))
+        node = CstNode(RETURN_STMT, children)
+        if expr is not None:
+            expr.parent = node
+        node.expr = expr
         return node
 
-    def decl_stmt(self) -> CstNode:
-        node = CstNode(DECL_STMT)
-        type_tok = self.take()  # "int" or "pthread_t"
-        node.children.append(type_tok)
-        node.type_name = type_tok.text
-        name = self.expect_name()
-        node.children.append(name)
-        node.name = name.text
-        node.name_token = name
-        node.init = None
-        if self.at_punct("="):
-            node.children.append(self.take())
-            init = self.expression()
-            node.children.append(init)
-            node.init = init
-        node.children.append(self.expect_punct(";"))
-        return node
-
-    # --- expressions (precedence climbing) ---
+    # --- expressions ---
 
     def expression(self) -> CstNode:
-        return self.assignment()
-
-    def assignment(self) -> CstNode:
-        target = self.logical_or()
-        if self.at_punct("=") or self.at_punct("+="):
+        """A binary expression, or an assignment (right-associative)."""
+        target = self.binary(1)
+        if self.tok.text == "=" or self.tok.text == "+=":
             if target.kind != IDENTIFIER:
                 self.fail("assignment target must be an identifier")
-            node = CstNode(ASSIGN_EXPR)
             op = self.take()
-            value = self.assignment()
-            node.children = [target, op, value]
+            value = self.expression()
+            node = CstNode(ASSIGN_EXPR, [target, op, value])
+            target.parent = value.parent = node
             node.target = target
             node.op = op.text
             node.value = value
             return node
         return target
 
-    def _binary_chain(self, operand, ops: tuple[str, ...]) -> CstNode:
-        left = operand()
-        while self.peek().kind == "punct" and self.peek().text in ops:
-            node = CstNode(BINARY_EXPR)
+    def binary(self, min_prec: int) -> CstNode:
+        """Precedence climbing: operators binding at least `min_prec`."""
+        left = self.unary()
+        prec = _BINARY_PREC.get(self.tok.text, 0)
+        while prec >= min_prec:
             op = self.take()
-            right = operand()
-            node.children = [left, op, right]
+            right = self.binary(prec + 1)
+            node = CstNode(BINARY_EXPR, [left, op, right])
+            left.parent = right.parent = node
             node.lhs = left
             node.op = op.text
             node.rhs = right
             left = node
+            prec = _BINARY_PREC.get(self.tok.text, 0)
         return left
 
-    def logical_or(self) -> CstNode:
-        return self._binary_chain(self.logical_and, ("||",))
-
-    def logical_and(self) -> CstNode:
-        return self._binary_chain(self.equality, ("&&",))
-
-    def equality(self) -> CstNode:
-        return self._binary_chain(self.relational, ("==", "!="))
-
-    def relational(self) -> CstNode:
-        return self._binary_chain(self.additive, ("<", "<=", ">", ">="))
-
-    def additive(self) -> CstNode:
-        return self._binary_chain(self.multiplicative, ("+", "-"))
-
-    def multiplicative(self) -> CstNode:
-        return self._binary_chain(self.unary, ("*", "/", "%"))
-
     def unary(self) -> CstNode:
-        if self.at_punct("-") or self.at_punct("!"):
-            node = CstNode(UNARY_EXPR)
-            op = self.take()
+        tok = self.tok
+        text = tok.text
+        if text == "-" or text == "!":
+            self.take()
             operand = self.unary()
-            node.children = [op, operand]
-            node.op = op.text
+            node = CstNode(UNARY_EXPR, [tok, operand])
+            operand.parent = node
+            node.op = text
             node.operand = operand
             return node
-        if self.at_punct("&"):
-            node = CstNode(ADDR_OF)
-            amp = self.take()
+        if text == "&":
+            self.take()
             ident = self.identifier()
-            node.children = [amp, ident]
+            node = CstNode(ADDR_OF, [tok, ident])
+            ident.parent = node
             node.operand = ident
             return node
-        return self.primary()
-
-    def identifier(self) -> CstNode:
-        tok = self.expect_name()
-        node = CstNode(IDENTIFIER, [tok])
-        node.token = tok
-        node.name = tok.text
-        return node
-
-    def primary(self) -> CstNode:
-        tok = self.peek()
         if tok.kind == "number":
             self.take()
             node = CstNode(INT_LITERAL, [tok])
             node.token = tok
-            node.value = int(tok.text)
+            node.value = int(text)
             return node
         if tok.kind == "ident":
-            if tok.text in KEYWORDS:
-                self.fail(f"'{tok.text}' is a reserved word")
-            if self.peek(1).kind == "punct" and self.peek(1).text == "(":
+            if text in KEYWORDS:
+                self.fail(f"'{text}' is a reserved word")
+            if self.tokens[self.i + 1].text == "(":
                 return self.call()
             return self.identifier()
         self.fail("expected an expression")
 
+    def identifier(self) -> CstNode:
+        tok = self.name()
+        node = CstNode(IDENTIFIER, [tok])
+        node.token = tok
+        node.name = tok.text
+        self.identifiers.setdefault(tok.text, []).append(node)
+        return node
+
     def call(self) -> CstNode:
-        node = CstNode(CALL_EXPR)
         callee = self.identifier()
-        node.children.append(callee)
-        node.callee = callee
-        node.children.append(self.expect_punct("("))
-        node.args = []
-        if not self.at_punct(")"):
+        children = [callee, self.take()]  # "("
+        args = []
+        if self.tok.text != ")":
             while True:
                 arg = self.expression()
-                node.children.append(arg)
-                node.args.append(arg)
-                if self.at_punct(","):
-                    node.children.append(self.take())
-                else:
+                children.append(arg)
+                args.append(arg)
+                if self.tok.text != ",":
                     break
-        node.children.append(self.expect_punct(")"))
+                children.append(self.take())
+        children.append(self.expect(")"))
+        node = CstNode(CALL_EXPR, children)
+        callee.parent = node
+        for arg in args:
+            arg.parent = node
+        node.callee = callee
+        node.args = args
         return node
 
 
-def _annotate(root: CstNode, text: str) -> None:
-    """Set parent links, compute spans, and stash the source on the root."""
-
-    def visit(node: CstNode, parent: CstNode | None):
-        node.parent = parent
-        first = last = None
-        for child in node.children:
-            if isinstance(child, Token):
-                lo, hi = child, child
-            else:
-                lo, hi = visit(child, node)
-            if first is None:
-                first = lo
-            last = hi
-        node.span = Span(
-            first.offset,
-            last.end,
-            SourceCoord(first.line, first.column),
-            SourceCoord(last.line, last.column + len(last.text)),
-        )
-        return first, last
-
-    visit(root, None)
-    root.text = text
-
-
 def parse_source(text: str) -> CstNode:
-    """Parse one translation unit; raises ParseError on the first error."""
+    """Parse one translation unit; raises ParseError on the first error.
+
+    The root also carries the source as ``text`` and its ``Identifier``
+    nodes by name, in source order, as ``identifiers``.
+    """
     parser = _Parser(_tokenize(text))
     tu = parser.translation_unit()
-    _annotate(tu, text)
+    tu.text = text
+    tu.identifiers = parser.identifiers
     return tu
 
 
@@ -685,16 +659,15 @@ def _classify(identifier: CstNode) -> StatementHandle:
 def locate(tree: CstNode, variable: str, at: SourceCoord) -> StatementHandle:
     """Find the statement owning the reference to `variable` at `at`.
 
+    `tree` is a tree from ``parse_source``; its identifier index gives
+    the candidates.
+
     Exact span matches win; otherwise the nearest same-named identifier
     on the same line is used (detector and compiler column conventions
     can drift by a few columns).  Raises NotFoundError when the line has
     no reference to the variable at all.
     """
-    candidates = [
-        node
-        for node in tree.walk()
-        if node.kind == IDENTIFIER and node.name == variable
-    ]
+    candidates = tree.identifiers.get(variable, ())
     exact = [n for n in candidates if n.span.covers(at)]
     if exact:
         return _classify(exact[0])

@@ -359,6 +359,14 @@ class _Return(Exception):
         self.value = value
 
 
+class _Break(Exception):
+    pass
+
+
+class _Continue(Exception):
+    pass
+
+
 def _coord(node: CstNode) -> SourceCoord:
     return node.span.start
 
@@ -482,12 +490,21 @@ def _exec_stmt(model: _Model, stmt: CstNode, env: dict):
             cond = yield from _eval(model, stmt.cond, env)
             if cond == 0:
                 return
-            yield from _exec_stmt(model, stmt.body, env)
+            try:
+                yield from _exec_stmt(model, stmt.body, env)
+            except _Break:
+                return
+            except _Continue:
+                pass
     if kind == cst.RETURN_STMT:
         value = 0
         if stmt.expr is not None:
             value = yield from _eval(model, stmt.expr, env)
         raise _Return(value)
+    if kind == cst.BREAK_STMT:
+        raise _Break  # the parser accepts it only inside a while
+    if kind == cst.CONTINUE_STMT:
+        raise _Continue
     raise _ProgramFault(f"cannot execute {kind}")
 
 

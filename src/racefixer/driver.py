@@ -42,7 +42,6 @@ class FixConfig:
     output: str = "diff"  # "in_place" | "out" | "diff"
     out_path: str | None = None
     lockset_mode: str = "hb"
-    verbose: bool = False
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:

@@ -27,11 +27,12 @@ from dataclasses import dataclass, field
 from .reports import DataRace
 from .cst import (
     ADDR_OF,
+    BREAK_STMT,
     CALL_EXPR,
     COMPOUND_STMT,
+    CONTINUE_STMT,
     EXPR_STMT,
     FUNC_DEF,
-    IDENTIFIER,
     IF_STMT,
     MUTEX_DECL,
     RETURN_STMT,
@@ -192,14 +193,14 @@ def _already_wrapped(stmt: CstNode, plan: MutexPlan) -> bool:
     return after is not None and _is_lock_stmt(after, "pthread_mutex_unlock", plan.mutex_name)
 
 
+_ESCAPES = {RETURN_STMT: "return", BREAK_STMT: "break", CONTINUE_STMT: "continue"}
+
+
 def _contains_escape(node: CstNode) -> str | None:
     """Name of a control-flow escape inside `node`, if any."""
     for sub in node.walk():
-        if sub.kind == RETURN_STMT:
-            return "return"
-        if sub.kind == EXPR_STMT and sub.expr.kind == IDENTIFIER \
-                and sub.expr.name in ("break", "continue"):
-            return sub.expr.name
+        if sub.kind in _ESCAPES:
+            return _ESCAPES[sub.kind]
     return None
 
 

@@ -17,6 +17,7 @@ from racefixer import (
 from racefixer import cst
 
 from conftest import corpus, corpus_files
+from genconc import generate_concurrent
 from genprog import generate
 
 
@@ -50,6 +51,29 @@ class TestRoundTrip:
         assert emit(parse_source(text)) == text
 
 
+def assert_tree_sound(text):
+    """Every node's span runs from its first to its last token, every child
+    points back at its parent, token positions agree with a count of
+    newlines, and the root indexes every Identifier node."""
+    tree = parse_source(text)
+    assert tree.parent is None
+    index = {}
+    for node in tree.walk():
+        toks = list(node.tokens())
+        first, last = toks[0], toks[-1]
+        assert node.span == cst.Span(
+            first.offset, last.end, SourceCoord(first.line, first.column),
+            SourceCoord(last.line, last.column + len(last.text)))
+        assert all(child.parent is node for child in node.child_nodes())
+        if node.kind == cst.IDENTIFIER:
+            index.setdefault(node.name, []).append(node)
+    assert tree.identifiers == index
+    for tok in tree.tokens():
+        line_start = text.rfind("\n", 0, tok.offset) + 1
+        assert (tok.line, tok.column) == (
+            text.count("\n", 0, tok.offset) + 1, tok.offset - line_start + 1)
+
+
 class TestSpans:
     @pytest.mark.parametrize("path", corpus_files()[:6], ids=lambda p: p.name)
     def test_token_spans_match_source(self, path):
@@ -60,13 +84,16 @@ class TestSpans:
 
     def test_generated_spans_sound(self):
         for seed in range(40):
-            text = generate(seed)
-            tree = parse_source(text)
-            for node in tree.walk():
-                span = node.span
-                toks = list(node.tokens())
-                assert span.start_offset == toks[0].offset
-                assert span.end_offset == toks[-1].end
+            assert_tree_sound(generate(seed))
+
+    @pytest.mark.parametrize("group", ["corpus", "genconc"])
+    def test_spans_parents_and_index_match_tokens(self, group):
+        if group == "corpus":
+            texts = [p.read_text(encoding="utf-8") for p in corpus_files()]
+        else:
+            texts = [generate_concurrent(seed) for seed in range(60)]
+        for text in texts:
+            assert_tree_sound(text)
 
     def test_line_and_column_are_one_based(self):
         tree = parse_source("int x;\nint y;\n")
@@ -75,31 +102,96 @@ class TestSpans:
         assert (second.span.start.line, second.span.start.column) == (2, 1)
 
 
+def parse_error(text):
+    """(message, line, column) of the error parsing `text` raises."""
+    with pytest.raises(ParseError) as err:
+        parse_source(text)
+    exc = err.value
+    assert str(exc) == f"{exc.line}:{exc.column}: {exc.message}"
+    return exc.message, exc.line, exc.column
+
+
 class TestParseErrors:
     def test_missing_declarator(self):
-        with pytest.raises(ParseError) as err:
-            parse_source("int = 3;")
-        assert (err.value.line, err.value.column) == (1, 5)
+        assert parse_error("int = 3;") == ("expected an identifier", 1, 5)
 
     def test_unterminated_comment(self):
-        with pytest.raises(ParseError):
-            parse_source("/* no end")
+        assert parse_error("/* no end") == ("unterminated block comment", 1, 1)
+        assert parse_error("int x; // c\nint y /* no end */ /* end") == (
+            "unterminated block comment", 2, 20)
 
     def test_unterminated_block(self):
-        with pytest.raises(ParseError):
-            parse_source("int main() { return 0;")
+        assert parse_error("int main() { return 0;") == (
+            "unterminated block; expected '}'", 1, 23)
 
     def test_stray_else(self):
-        with pytest.raises(ParseError):
-            parse_source("int main() { else x; }")
+        assert parse_error("int main() { else x; }") == (
+            "'else' without a matching 'if'", 1, 14)
 
     def test_reserved_word_as_name(self):
-        with pytest.raises(ParseError):
-            parse_source("int while;")
+        assert parse_error("int while;") == ("'while' is a reserved word", 1, 5)
+        assert parse_error("int main() { x = break; }") == (
+            "'break' is a reserved word", 1, 18)
 
     def test_unknown_character(self):
-        with pytest.raises(ParseError):
-            parse_source("int x @ 1;")
+        assert parse_error("int x @ 1;") == ("unexpected character '@'", 1, 7)
+        assert parse_error("int x; // c\n/* a\n b */ int y @") == (
+            "unexpected character '@'", 3, 13)
+
+    def test_assignment_to_non_identifier(self):
+        assert parse_error("int main() { a + b = 1; }") == (
+            "assignment target must be an identifier", 1, 20)
+
+    def test_missing_expression(self):
+        assert parse_error("int main() { x = ; }") == ("expected an expression", 1, 18)
+
+    def test_break_and_continue_outside_a_loop(self):
+        assert parse_error("int main() {\n    break;\n}\n") == (
+            "'break' outside a loop", 2, 5)
+        assert parse_error("int main() { while (1) { }\n  if (1) continue; }") == (
+            "'continue' outside a loop", 2, 10)
+
+
+def expression_shape(source: str) -> str:
+    """The expression statement in `source`, fully parenthesised."""
+
+    def shape(node):
+        if node.kind == cst.IDENTIFIER:
+            return node.name
+        if node.kind == cst.UNARY_EXPR:
+            return f"({node.op}{shape(node.operand)})"
+        if node.kind == cst.ASSIGN_EXPR:
+            return f"({shape(node.target)} {node.op} {shape(node.value)})"
+        assert node.kind == cst.BINARY_EXPR
+        return f"({shape(node.lhs)} {node.op} {shape(node.rhs)})"
+
+    main = parse_source(f"int main() {{ {source}; }}").child_nodes()[0]
+    return shape(main.body.statements[0].expr)
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("a - b - c", "((a - b) - c)"),
+    ("a = b = c", "(a = (b = c))"),
+    ("a || b && c", "(a || (b && c))"),
+    ("!a == b", "((!a) == b)"),
+    ("-a * b", "((-a) * b)"),
+    ("a < b == c", "((a < b) == c)"),
+    ("a + b * c % d", "(a + ((b * c) % d))"),
+    ("a += b != c || -!d", "(a += ((b != c) || (-(!d))))"),
+])
+def test_precedence_and_associativity(source, expected):
+    assert expression_shape(source) == expected
+
+
+class TestJumpStatements:
+    def test_break_and_continue_are_statements(self):
+        text = "int main() {\n    while (1) { if (1) continue; break; }\n}\n"
+        tree = parse_source(text)
+        loop = tree.child_nodes()[0].body.statements[0]
+        stmts = loop.body.statements
+        assert [stmts[0].then.kind, stmts[1].kind] == [cst.CONTINUE_STMT, cst.BREAK_STMT]
+        assert stmts[1].span.start == SourceCoord(2, 34)
+        assert emit(tree) == text
 
 
 class TestLocate:
@@ -169,6 +261,11 @@ class TestLocate:
         tree = parse_source(text)
         handle = locate(tree, "g", SourceCoord(3, 16))
         assert handle.role == cst.ROLE_UNSUPPORTED
+
+    def test_equidistant_columns_pick_the_lower(self):
+        tree = parse_source("int G;\nint main() {\n    G = G;\n    return 0;\n}\n")
+        handle = locate(tree, "G", SourceCoord(3, 7))
+        assert handle.identifier.span.start == SourceCoord(3, 5)
 
     def test_deterministic(self):
         tree = parse_source(corpus("race_plain.c"))

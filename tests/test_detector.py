@@ -212,6 +212,34 @@ class TestExplore:
             assert verdict.explored == 1, f"k={k}"
             assert verdict.hb_races == ()
 
+    def test_break_and_continue_jump_to_the_nearest_loop(self):
+        source = (
+            "int G;\nint H;\n\n"
+            "void *Worker(void *arg) {\n"
+            "    int i = 0;\n"
+            "    while (i < 2) {\n"
+            "        i = i + 1;\n"
+            "        while (1) {\n"
+            "            break;\n"
+            "            G = 1;\n"  # never runs
+            "        }\n"
+            "        if (i < 2) {\n"
+            "            continue;\n"
+            "        }\n"
+            "        H = i;\n"  # runs once, in the second pass
+            "    }\n"
+            "    return 0;\n}\n\n"
+            "int main() {\n    pthread_t t;\n"
+            "    pthread_create(&t, 0, Worker, 0);\n"
+            "    G = 2;\n    H = 3;\n"
+            "    pthread_join(t, 0);\n    return 0;\n}\n"
+        )
+        verdict = explore(parse_source(source))
+        assert verdict.diagnostics == () and not verdict.truncated
+        lines = [(r.variable, sorted([r.current.coord.line, r.previous.coord.line]))
+                 for r in verdict.hb_races]
+        assert lines == [("H", [15, 24])]
+
     def test_self_deadlock_diagnosed(self):
         verdict = explore(parse_source(corpus("self_deadlock.c")))
         assert verdict.deadlocks

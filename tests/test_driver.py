@@ -2,7 +2,7 @@
 
 import pytest
 
-from racefixer import FixConfig, explore, parse_source, render_diff, run
+from racefixer import FixConfig, SourceCoord, explore, parse_source, render_diff, run
 from racefixer.cli import main as cli_main
 from racefixer.driver import STATUS_CLEAN, STATUS_DEADLOCK, STATUS_NOTHING
 
@@ -51,6 +51,19 @@ class TestRunBuiltin:
         assert report.exit_code == 1
         # the fixable side was still patched
         assert "pthread_mutex_lock(&__rf_mutex_State);" in report.final_text
+
+    def test_race_after_break_and_continue_fixed(self, tmp_source):
+        path = tmp_source("loop_break.c")
+        report = run(FixConfig(source=str(path)))
+        assert [len(it.races) for it in report.iterations] == [1, 0]
+        (race,) = report.iterations[0].races
+        assert race.variable == "G"
+        assert sorted([race.first, race.second]) == [SourceCoord(12, 5), SourceCoord(19, 5)]
+        assert report.status == STATUS_CLEAN
+        locked = "pthread_mutex_lock(&__rf_mutex_G);\n    G = "
+        assert report.final_text.count(locked) == 2  # both writes guarded
+        verdict = explore(parse_source(report.final_text))
+        assert verdict.hb_races == () and verdict.diagnostics == ()
 
     def test_iteration_cap_respected(self, tmp_source):
         path = tmp_source("race_plain.c")
@@ -222,6 +235,12 @@ class TestCli:
         bad.write_text("int = 3;")
         assert cli_main(["fix", str(bad)]) == 3
         assert "1:5" in capsys.readouterr().err
+
+    def test_break_outside_loop_exit_three(self, tmp_path, capsys):
+        bad = tmp_path / "bad.c"
+        bad.write_text("int main() {\n    break;\n}\n")
+        assert cli_main(["fix", str(bad)]) == 3
+        assert "2:5: 'break' outside a loop" in capsys.readouterr().err
 
     def test_detect_prints_summary(self, tmp_source, capsys):
         path = tmp_source("race_plain.c")
