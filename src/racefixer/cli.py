@@ -13,6 +13,7 @@ back), 3 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -24,6 +25,7 @@ _BOUND_HELP = ("schedules explored per detection run, counted after "
               "partial-order reduction (default %(default)s)")
 
 
+@functools.cache  # built once per process; parsing does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="racefixer",

@@ -1,7 +1,8 @@
 """Execution-exploring race detector for the C subset.
 
-A deterministic interpreter runs the program one shared operation at a
-time; a depth-first scheduler enumerates thread interleavings up to a
+Each function is compiled once into a flat list of instructions, and a
+deterministic interpreter runs every thread up to its next shared
+operation; a depth-first scheduler enumerates thread interleavings up to a
 configurable bound of schedules.  By default it uses dynamic
 partial-order reduction (Flanagan & Godefroid, POPL 2005) with sleep
 sets: after each schedule it computes happens-before over the executed
@@ -22,14 +23,19 @@ detector keeps:
 * the set of stuck states, where some thread is unfinished but nothing
   can run: deadlocks.
 
-Exploration restarts the program from scratch for every schedule, so a
-schedule is just the list of thread choices taken at each decision
-point; any prefix can be replayed exactly.
+A thread's state is its position in its code, its operand stack and its
+variables, so it can be copied.  DPOR saves the state at each decision
+with more than one enabled thread, logs every later change to shared
+state for undoing, and starts the next schedule from the deepest saved
+decision instead of from the beginning.  A schedule is still just the list
+of thread choices taken at each decision point, and ``replay`` re-runs a
+prefix exactly from the initial state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 from .reports import DataRace, Diagnostic, RaceSet, SourceCoord, merge_runs
 from . import cst
@@ -62,18 +68,24 @@ class VectorClock:
         return self.counts[tid] if tid < len(self.counts) else 0
 
     def tick(self, tid: int) -> "VectorClock":
-        size = max(len(self.counts), tid + 1)
-        values = [self.get(i) for i in range(size)]
-        values[tid] += 1
-        return VectorClock(tuple(values))
+        counts = self.counts
+        if tid < len(counts):
+            return VectorClock(counts[:tid] + (counts[tid] + 1,) + counts[tid + 1:])
+        return VectorClock(counts + (0,) * (tid - len(counts)) + (1,))
+
+    def _padded(self, other: "VectorClock") -> tuple[tuple, tuple]:
+        a, b = self.counts, other.counts
+        if len(a) < len(b):
+            a += (0,) * (len(b) - len(a))
+        elif len(b) < len(a):
+            b += (0,) * (len(a) - len(b))
+        return a, b
 
     def join(self, other: "VectorClock") -> "VectorClock":
-        size = max(len(self.counts), len(other.counts))
-        return VectorClock(tuple(max(self.get(i), other.get(i)) for i in range(size)))
+        return VectorClock(tuple(map(max, *self._padded(other))))
 
     def leq(self, other: "VectorClock") -> bool:
-        size = max(len(self.counts), len(other.counts))
-        return all(self.get(i) <= other.get(i) for i in range(size))
+        return all(map(operator.le, *self._padded(other)))
 
     def concurrent_with(self, other: "VectorClock") -> bool:
         return not self.leq(other) and not other.leq(self)
@@ -271,259 +283,263 @@ class _ProgramFault(Exception):
 class _Model:
     globals_: dict
     mutexes: frozenset
-    functions: dict
-    main: CstNode
-
-
-def _const_eval(expr: CstNode) -> int:
-    if expr.kind == cst.INT_LITERAL:
-        return expr.value
-    if expr.kind == cst.UNARY_EXPR:
-        value = _const_eval(expr.operand)
-        return -value if expr.op == "-" else (1 if value == 0 else 0)
-    if expr.kind == cst.BINARY_EXPR:
-        return _apply_binary(expr.op, _const_eval(expr.lhs), _const_eval(expr.rhs))
-    raise UnsupportedConstruct("global initializers must be constant expressions")
+    functions: dict  # name -> instruction list, see _Compiler
 
 
 def _c_div(a: int, b: int) -> int:
+    if b == 0:
+        raise _ProgramFault("division by zero")
     q = a // b
     if (a % b != 0) and ((a < 0) != (b < 0)):
         q += 1
     return q
 
 
-def _apply_binary(op: str, a: int, b: int) -> int:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise _ProgramFault("division by zero")
-        return _c_div(a, b)
-    if op == "%":
-        if b == 0:
-            raise _ProgramFault("modulo by zero")
-        return a - _c_div(a, b) * b
-    if op == "<":
-        return 1 if a < b else 0
-    if op == "<=":
-        return 1 if a <= b else 0
-    if op == ">":
-        return 1 if a > b else 0
-    if op == ">=":
-        return 1 if a >= b else 0
-    if op == "==":
-        return 1 if a == b else 0
-    if op == "!=":
-        return 1 if a != b else 0
-    raise _ProgramFault(f"unknown operator {op!r}")
+def _c_mod(a: int, b: int) -> int:
+    if b == 0:
+        raise _ProgramFault("modulo by zero")
+    return a - _c_div(a, b) * b
+
+
+_UNARY = {"-": operator.neg, "!": lambda v: 1 if v == 0 else 0}
+
+
+def _truth(value: int) -> int:
+    """The value of a && or || that its right side decides."""
+    return 1 if value != 0 else 0
+
+
+# Every binary operator but the short-circuiting && and ||.
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _c_div,
+    "%": _c_mod,
+    "<": lambda a, b: 1 if a < b else 0,
+    "<=": lambda a, b: 1 if a <= b else 0,
+    ">": lambda a, b: 1 if a > b else 0,
+    ">=": lambda a, b: 1 if a >= b else 0,
+    "==": lambda a, b: 1 if a == b else 0,
+    "!=": lambda a, b: 1 if a != b else 0,
+}
+
+
+def _const_eval(expr: CstNode) -> int:
+    if expr.kind == cst.INT_LITERAL:
+        return expr.value
+    if expr.kind == cst.UNARY_EXPR:
+        return _UNARY[expr.op](_const_eval(expr.operand))
+    if expr.kind == cst.BINARY_EXPR and expr.op in _BINARY:
+        lhs, rhs = _const_eval(expr.lhs), _const_eval(expr.rhs)
+        try:
+            return _BINARY[expr.op](lhs, rhs)
+        except _ProgramFault as fault:
+            raise UnsupportedConstruct(f"global initializer: {fault}") from None
+    raise UnsupportedConstruct("global initializers must be constant expressions")
+
+
+def _coord(ident: CstNode) -> SourceCoord:
+    """Where an identifier, or a call through it, starts."""
+    return SourceCoord(ident.token.line, ident.token.column)
+
+
+class _Compiler:
+    """Compiles one function into a flat list of instructions.
+
+    An instruction is a tuple whose first item names it.  Local ones work
+    on the thread's operand stack and variables: ``("const", n)``,
+    ``("unary", function)``, ``("binary", function)``, ``("pop",)``,
+    ``("decl", name)``,
+    ``("jump", pc)``, ``("branch", pc, if_nonzero)``, ``("loop", pc)`` (a
+    jump back to a loop's condition), ``("check_handle", name)``,
+    ``("fault", message)`` and ``("return",)``.  ``("read", name, coord)``
+    and ``("store", name, coord)`` use the function's variable if it has
+    been declared by then, and otherwise the global: a shared operation.
+    ``("lock", mutex, coord)``, ``("unlock", mutex, coord)``,
+    ``("create", function, coord, handle)`` and ``("join", handle,
+    coord)`` are always shared.  Shapes the interpreter cannot run compile
+    to a fault at the point where they would run, so a schedule that never
+    reaches them is unaffected.
+    """
+
+    def __init__(self, mutexes: frozenset, functions: dict):
+        self.mutexes = mutexes
+        self.functions = functions
+        self.code: list = []
+        self.loops: list = []  # (condition pc, [pcs of the jumps out]) per open while
+
+    def function(self, func: CstNode) -> list:
+        self.code = []
+        if func.param is not None:
+            self.code += [("const", 0), ("decl", func.param)]
+        self.stmt(func.body)
+        self.code.append(("return",))
+        return self.code
+
+    def forward(self, *ins) -> int:
+        """Emit a jump whose target `land` fills in later."""
+        self.code.append(ins)
+        return len(self.code) - 1
+
+    def land(self, *sites: int) -> None:
+        """Point the forward jumps at `sites` to the next instruction."""
+        for site in sites:
+            op, _, *rest = self.code[site]
+            self.code[site] = (op, len(self.code), *rest)
+
+    def stmt(self, stmt: CstNode) -> None:
+        kind = stmt.kind
+        emit = self.code.append
+        if kind == cst.EXPR_STMT:
+            self.expr(stmt.expr)
+            emit(("pop",))
+        elif kind == cst.DECL_STMT:
+            if stmt.init is not None:
+                self.expr(stmt.init)
+            else:
+                emit(("const", 0))
+            emit(("decl", stmt.name))
+        elif kind == cst.COMPOUND_STMT:
+            for sub in stmt.statements:
+                self.stmt(sub)
+        elif kind == cst.IF_STMT:
+            self.expr(stmt.cond)
+            to_else = self.forward("branch", None, False)
+            self.stmt(stmt.then)
+            if stmt.els is None:
+                self.land(to_else)
+            else:
+                to_end = self.forward("jump", None)
+                self.land(to_else)
+                self.stmt(stmt.els)
+                self.land(to_end)
+        elif kind == cst.WHILE_STMT:
+            head = len(self.code)
+            self.expr(stmt.cond)
+            self.loops.append((head, [self.forward("branch", None, False)]))
+            self.stmt(stmt.body)
+            emit(("loop", head))
+            self.land(*self.loops.pop()[1])
+        elif kind == cst.RETURN_STMT:
+            if stmt.expr is not None:
+                self.expr(stmt.expr)
+            emit(("return",))
+        elif kind == cst.BREAK_STMT:  # the parser accepts it only inside a while
+            self.loops[-1][1].append(self.forward("jump", None))
+        elif kind == cst.CONTINUE_STMT:
+            emit(("loop", self.loops[-1][0]))
+        else:
+            emit(("fault", f"cannot execute {kind}"))
+
+    def expr(self, expr: CstNode) -> None:
+        kind = expr.kind
+        emit = self.code.append
+        if kind == cst.INT_LITERAL:
+            emit(("const", expr.value))
+        elif kind == cst.IDENTIFIER:
+            emit(("read", expr.name, _coord(expr)))
+        elif kind == cst.UNARY_EXPR:
+            self.expr(expr.operand)
+            emit(("unary", _UNARY[expr.op]))
+        elif kind == cst.BINARY_EXPR and expr.op in ("&&", "||"):
+            # the right side runs only when the left one does not decide
+            self.expr(expr.lhs)
+            decided = self.forward("branch", None, expr.op == "||")
+            self.expr(expr.rhs)
+            emit(("unary", _truth))
+            to_end = self.forward("jump", None)
+            self.land(decided)
+            emit(("const", 1 if expr.op == "||" else 0))
+            self.land(to_end)
+        elif kind == cst.BINARY_EXPR:
+            self.expr(expr.lhs)
+            self.expr(expr.rhs)
+            emit(("binary", _BINARY[expr.op]))
+        elif kind == cst.ASSIGN_EXPR:
+            name, coord = expr.target.name, _coord(expr.target)
+            if expr.op == "+=":
+                emit(("read", name, coord))
+                self.expr(expr.value)
+                emit(("binary", operator.add))
+            else:
+                self.expr(expr.value)
+            emit(("store", name, coord))
+        elif kind == cst.CALL_EXPR:
+            self.call(expr)
+        elif kind == cst.ADDR_OF:
+            emit(("fault", "address-of is only meaningful as a pthread call argument"))
+        else:
+            emit(("fault", f"cannot evaluate {kind}"))
+
+    def call(self, call: CstNode) -> None:
+        name = call.callee.name
+        args = call.args
+        emit = self.code.append
+        fault = None
+        if name in ("pthread_mutex_lock", "pthread_mutex_unlock"):
+            if len(args) != 1 or args[0].kind != cst.ADDR_OF:
+                fault = f"{name} expects one argument of the form &mutex"
+            elif args[0].operand.name not in self.mutexes:
+                fault = f"'{args[0].operand.name}' is not a declared mutex"
+            else:
+                op = "lock" if name == "pthread_mutex_lock" else "unlock"
+                emit((op, args[0].operand.name, _coord(call.callee)))
+        elif name == "pthread_create":
+            if len(args) != 4 or args[2].kind != cst.IDENTIFIER:
+                raise UnsupportedConstruct(
+                    "pthread_create must be called as pthread_create(&t, 0, fn, 0)"
+                )
+            target = args[2].name
+            if target not in self.functions or target == "main":
+                raise UnsupportedConstruct(f"pthread_create targets unknown function '{target}'")
+            if args[0].kind != cst.ADDR_OF:
+                fault = "pthread_create expects &handle as its first argument"
+            else:
+                handle = args[0].operand.name
+                emit(("check_handle", handle))
+                for arg in (args[1], args[3]):
+                    self.expr(arg)
+                    emit(("pop",))
+                emit(("create", target, _coord(call.callee), handle))
+        elif name == "pthread_join":
+            if len(args) != 2 or args[0].kind != cst.IDENTIFIER:
+                fault = "pthread_join expects (handle, 0)"
+            else:
+                emit(("check_handle", args[0].name))
+                self.expr(args[1])
+                emit(("pop",))
+                emit(("join", args[0].name, _coord(call.callee)))
+        else:
+            fault = f"call to unsupported function '{name}'"
+        if fault is not None:
+            emit(("fault", fault))
+            for arg in args:  # never run; compiled so that every pthread_create is checked
+                self.expr(arg)
 
 
 def build_model(tree: CstNode) -> _Model:
-    """Static validation of the translation unit before exploration."""
+    """Static validation of the translation unit, and its compiled code."""
     globals_: dict = {}
     mutexes: set = set()
-    functions: dict = {}
+    bodies: dict = {}
     for node in tree.child_nodes():
         if node.kind == cst.VAR_DECL:
             globals_[node.name] = _const_eval(node.init) if node.init is not None else 0
         elif node.kind == cst.MUTEX_DECL:
             mutexes.add(node.name)
         elif node.kind == cst.FUNC_DEF:
-            functions[node.name] = node
-    if "main" not in functions:
+            bodies[node.name] = node
+    if "main" not in bodies:
         raise UnsupportedConstruct("program has no main function")
-    for node in tree.walk():
-        if node.kind == cst.CALL_EXPR and node.callee.name == "pthread_create":
-            if len(node.args) != 4 or node.args[2].kind != cst.IDENTIFIER:
-                raise UnsupportedConstruct(
-                    "pthread_create must be called as pthread_create(&t, 0, fn, 0)"
-                )
-            target = node.args[2].name
-            if target not in functions or target == "main":
-                raise UnsupportedConstruct(f"pthread_create targets unknown function '{target}'")
-    return _Model(globals_, frozenset(mutexes), functions, functions["main"])
-
-
-# ---------------------------------------------------------------------------
-# Interpreter (generators yielding shared-operation intents)
-# ---------------------------------------------------------------------------
-
-
-class _Return(Exception):
-    def __init__(self, value: int):
-        self.value = value
-
-
-class _Break(Exception):
-    pass
-
-
-class _Continue(Exception):
-    pass
-
-
-def _coord(node: CstNode) -> SourceCoord:
-    return node.span.start
-
-
-def _eval(model: _Model, expr: CstNode, env: dict):
-    kind = expr.kind
-    if kind == cst.INT_LITERAL:
-        return expr.value
-    if kind == cst.IDENTIFIER:
-        if expr.name in env:
-            return env[expr.name]
-        if expr.name in model.globals_:
-            value = yield ("read", expr.name, _coord(expr))
-            return value
-        raise _ProgramFault(f"unknown identifier '{expr.name}'")
-    if kind == cst.UNARY_EXPR:
-        value = yield from _eval(model, expr.operand, env)
-        return -value if expr.op == "-" else (1 if value == 0 else 0)
-    if kind == cst.BINARY_EXPR:
-        left = yield from _eval(model, expr.lhs, env)
-        if expr.op == "&&":
-            if left == 0:
-                return 0
-            right = yield from _eval(model, expr.rhs, env)
-            return 1 if right != 0 else 0
-        if expr.op == "||":
-            if left != 0:
-                return 1
-            right = yield from _eval(model, expr.rhs, env)
-            return 1 if right != 0 else 0
-        right = yield from _eval(model, expr.rhs, env)
-        return _apply_binary(expr.op, left, right)
-    if kind == cst.ASSIGN_EXPR:
-        name = expr.target.name
-        if expr.op == "+=":
-            if name in env:
-                base = env[name]
-            elif name in model.globals_:
-                base = yield ("read", name, _coord(expr.target))
-            else:
-                raise _ProgramFault(f"unknown identifier '{name}'")
-            rhs = yield from _eval(model, expr.value, env)
-            value = base + rhs
-        else:
-            value = yield from _eval(model, expr.value, env)
-        if name in env:
-            env[name] = value
-        elif name in model.globals_:
-            yield ("write", name, value, _coord(expr.target))
-        else:
-            raise _ProgramFault(f"unknown identifier '{name}'")
-        return value
-    if kind == cst.CALL_EXPR:
-        result = yield from _eval_call(model, expr, env)
-        return result
-    if kind == cst.ADDR_OF:
-        raise _ProgramFault("address-of is only meaningful as a pthread call argument")
-    raise _ProgramFault(f"cannot evaluate {kind}")
-
-
-def _eval_call(model: _Model, call: CstNode, env: dict):
-    name = call.callee.name
-    if name in ("pthread_mutex_lock", "pthread_mutex_unlock"):
-        if len(call.args) != 1 or call.args[0].kind != cst.ADDR_OF:
-            raise _ProgramFault(f"{name} expects one argument of the form &mutex")
-        mutex = call.args[0].operand.name
-        if mutex not in model.mutexes:
-            raise _ProgramFault(f"'{mutex}' is not a declared mutex")
-        op = "lock" if name == "pthread_mutex_lock" else "unlock"
-        yield (op, mutex, _coord(call))
-        return 0
-    if name == "pthread_create":
-        handle = call.args[0]
-        if handle.kind != cst.ADDR_OF:
-            raise _ProgramFault("pthread_create expects &handle as its first argument")
-        handle_name = handle.operand.name
-        if handle_name not in env:
-            raise _ProgramFault(f"'{handle_name}' is not a declared pthread_t")
-        yield from _eval(model, call.args[1], env)
-        target = call.args[2].name
-        yield from _eval(model, call.args[3], env)
-        child = yield ("create", target, _coord(call))
-        env[handle_name] = child
-        return 0
-    if name == "pthread_join":
-        if len(call.args) != 2 or call.args[0].kind != cst.IDENTIFIER:
-            raise _ProgramFault("pthread_join expects (handle, 0)")
-        handle_name = call.args[0].name
-        if handle_name not in env:
-            raise _ProgramFault(f"'{handle_name}' is not a declared pthread_t")
-        yield from _eval(model, call.args[1], env)
-        yield ("join", env[handle_name], _coord(call))
-        return 0
-    raise _ProgramFault(f"call to unsupported function '{name}'")
-
-
-def _exec_stmt(model: _Model, stmt: CstNode, env: dict):
-    kind = stmt.kind
-    if kind == cst.EXPR_STMT:
-        yield from _eval(model, stmt.expr, env)
-        return
-    if kind == cst.DECL_STMT:
-        value = 0
-        if stmt.init is not None:
-            value = yield from _eval(model, stmt.init, env)
-        env[stmt.name] = value
-        return
-    if kind == cst.COMPOUND_STMT:
-        for sub in stmt.statements:
-            yield from _exec_stmt(model, sub, env)
-        return
-    if kind == cst.IF_STMT:
-        cond = yield from _eval(model, stmt.cond, env)
-        if cond != 0:
-            yield from _exec_stmt(model, stmt.then, env)
-        elif stmt.els is not None:
-            yield from _exec_stmt(model, stmt.els, env)
-        return
-    if kind == cst.WHILE_STMT:
-        while True:
-            cond = yield from _eval(model, stmt.cond, env)
-            if cond == 0:
-                return
-            try:
-                yield from _exec_stmt(model, stmt.body, env)
-            except _Break:
-                return
-            except _Continue:
-                pass
-    if kind == cst.RETURN_STMT:
-        value = 0
-        if stmt.expr is not None:
-            value = yield from _eval(model, stmt.expr, env)
-        raise _Return(value)
-    if kind == cst.BREAK_STMT:
-        raise _Break  # the parser accepts it only inside a while
-    if kind == cst.CONTINUE_STMT:
-        raise _Continue
-    raise _ProgramFault(f"cannot execute {kind}")
-
-
-def _thread_main(model: _Model, func: CstNode, arg: int):
-    env = {}
-    if func.param is not None:
-        env[func.param] = arg
-    try:
-        yield from _exec_stmt(model, func.body, env)
-    except _Return:
-        pass
+    compiler = _Compiler(frozenset(mutexes), bodies)
+    functions = {name: compiler.function(func) for name, func in bodies.items()}
+    return _Model(globals_, frozenset(mutexes), functions)
 
 
 # ---------------------------------------------------------------------------
 # One deterministic execution
 # ---------------------------------------------------------------------------
-
-_RUNNABLE = "runnable"
-_FINISHED = "finished"
 
 # Operations of one class on the same object are dependent; a join has no
 # class, since its happens-before edge from the target already orders it.
@@ -544,49 +560,89 @@ def _conflict_key(op: tuple):
 
 
 class _Step:
-    """One scheduling decision: who could run, who ran, and what each
-    live thread was about to do, as (kind, object) pairs."""
+    """One scheduling decision on the current path: who could run, who
+    ran, and what each live thread was about to do, as (kind, object)
+    pairs.  DPOR also keeps the threads still to try from here
+    (`backtrack`), those that need not be (`sleep`, tid -> (kind,
+    object)), and what restores the state before this step (`saved`)."""
 
-    __slots__ = ("enabled", "choice", "pending")
+    __slots__ = ("enabled", "choice", "pending", "backtrack", "sleep", "saved")
 
-    def __init__(self, enabled: tuple, choice: int, pending: dict):
+    def __init__(self, enabled: tuple, choice: int, pending: dict, sleep=None):
         self.enabled = enabled
         self.choice = choice
         self.pending = pending  # tid -> (kind, object)
+        self.backtrack = {choice}
+        self.sleep = sleep
+        self.saved = None
 
     @property
     def op(self) -> tuple:
         return self.pending[self.choice]
 
 
-@dataclass
-class _ThreadState:
-    tid: int
-    function: str
-    gen: object
-    clock: VectorClock
-    held: set = field(default_factory=set)
-    pending: tuple | None = None
-    status: str = _RUNNABLE
-    steps: int = 0
-    final_clock: VectorClock | None = None
-    self_blocked: bool = False
+class _Thread:
+    """One thread: where it is in its function's code, its operand stack
+    and variables, and its scheduling state.  `pending` is the shared
+    operation it waits to run, None once it has finished.  `saved` caches
+    `save()` until the thread next changes."""
+
+    __slots__ = ("tid", "function", "code", "pc", "stack", "env", "clock", "held",
+                 "pending", "steps", "self_blocked", "saved")
+
+    def __init__(self, tid: int, function: str, code: list, clock: VectorClock):
+        self.tid = tid
+        self.function = function
+        self.code = code
+        self.pc = 0
+        self.stack: list = []
+        self.env: dict = {}
+        self.clock = clock
+        self.held = frozenset()
+        self.pending: tuple | None = None
+        self.steps = 0
+        self.self_blocked = False
+        self.saved = None
+
+    def save(self) -> tuple:
+        if self.saved is None:
+            self.saved = (self.pc, tuple(self.stack), self.env.copy(), self.clock, self.held,
+                          self.pending, self.steps, self.self_blocked)
+        return self.saved
+
+    def restore(self, saved: tuple) -> None:
+        (self.pc, stack, env, self.clock, self.held,
+         self.pending, self.steps, self.self_blocked) = saved
+        self.stack = list(stack)
+        self.env = env.copy()
+        self.saved = saved
+
+
+def _undo_access(history: list, state: LocksetState, candidates, last) -> None:
+    history.pop()
+    state.candidates, state.last = candidates, last
 
 
 class _Run:
-    """Execute the program once; `choose(index, enabled, pending)` picks
-    the thread for each decision, or None to stop the run there."""
+    """The program's state along one schedule.
 
-    def __init__(self, model: _Model, choose, step_budget: int, record_trace: bool):
+    `execute(choose)` runs it to the end of the schedule, where
+    `choose(run, enabled, pending)` returns the `_Step` to take at each
+    decision, or None to stop there.  `save()` records what `restore()`
+    needs to bring the run back to that point: the threads' own states,
+    and the lengths of `trail`, which holds an undo entry for every change
+    to shared state, and of the append-only results.
+    """
+
+    def __init__(self, model: _Model, step_budget: int, record_trace: bool):
         self.model = model
-        self.choose = choose
         self.step_budget = step_budget
         self.record_trace = record_trace
 
         self.globals_ = dict(model.globals_)
-        self.mutex_owner: dict = {}
-        self.mutex_clock: dict = {}
-        self.threads: list[_ThreadState] = []
+        self.mutex_owner = dict.fromkeys(model.mutexes)
+        self.mutex_clock = dict.fromkeys(model.mutexes, VectorClock())
+        self.threads: list[_Thread] = []
         # Full access history per variable.  A last-access-per-thread
         # frontier looks sufficient but misses racy coordinate pairs when
         # control flow is data-dependent (a branch reachable only after
@@ -598,48 +654,141 @@ class _Run:
         self.ls_races: list[DetectedRace] = []
         self.deadlock: DeadlockRecord | None = None
         self.diagnostics: list[Diagnostic] = []
-        self.decisions: list[_Step] = []
+        self.path: list[_Step] = []
         self.trace: list[tuple] = []
+        self.trail: list[tuple] = []  # (undo function, *its arguments)
         self.aborted = False
         self.budget_exceeded = False
 
-        main = _ThreadState(0, "main", _thread_main(model, model.main, 0), VectorClock())
+        main = _Thread(0, "main", model.functions["main"], VectorClock())
         self.threads.append(main)
-        self._advance(main, None)
+        self._advance(main)
+
+    def save(self) -> tuple:
+        return (len(self.trail), len(self.trace), len(self.diagnostics),
+                len(self.hb_races), len(self.ls_races),
+                [(t, t.save()) for t in self.threads])
+
+    def restore(self, saved: tuple) -> None:
+        trail_len, trace_len, diag_len, hb_len, ls_len, threads = saved
+        trail = self.trail
+        while len(trail) > trail_len:
+            undo = trail.pop()
+            undo[0](*undo[1:])
+        del self.trace[trace_len:]
+        del self.diagnostics[diag_len:]
+        del self.hb_races[hb_len:]
+        del self.ls_races[ls_len:]
+        self.threads = [t for t, _ in threads]
+        for t, state in threads:
+            t.restore(state)
+        self.deadlock = None
+        self.aborted = self.budget_exceeded = False
 
     # -- bookkeeping ---------------------------------------------------
 
     def _diag(self, severity: str, message: str) -> None:
         self.diagnostics.append(Diagnostic(severity, message))
 
-    def _advance(self, thread: _ThreadState, send_value) -> None:
+    def _over_budget(self, thread: _Thread) -> None:
+        self._diag(
+            "warning",
+            f"thread {thread.tid} exceeded the step budget of {self.step_budget}; "
+            "schedule truncated",
+        )
+        self.aborted = True
+        self.budget_exceeded = True
+
+    def _advance(self, thread: _Thread, result: int | None = None) -> None:
+        """Run `thread`'s local instructions up to its next shared
+        operation, after pushing `result`, the value of the one it ran.
+
+        Loop iterations since the last shared operation count against the
+        step budget, so a loop that never touches shared state ends too.
+        """
+        code, stack, env, globals_ = thread.code, thread.stack, thread.env, self.globals_
+        if result is not None:
+            stack.append(result)
+        pc = thread.pc
+        iterations = 0
         try:
-            thread.pending = thread.gen.send(send_value)
-        except StopIteration:
-            thread.pending = None
-            thread.status = _FINISHED
-            thread.final_clock = thread.clock
-            if thread.held:
-                held = ", ".join(sorted(thread.held))
-                self._diag("warning", f"thread {thread.tid} finished still holding {held}")
+            while True:
+                ins = code[pc]
+                op = ins[0]
+                pc += 1
+                if op == "read":
+                    if ins[1] in env:
+                        stack.append(env[ins[1]])
+                    elif ins[1] in globals_:
+                        thread.pending = ins
+                        break
+                    else:
+                        raise _ProgramFault(f"unknown identifier '{ins[1]}'")
+                elif op == "const":
+                    stack.append(ins[1])
+                elif op == "store":
+                    if ins[1] in env:
+                        env[ins[1]] = stack[-1]
+                    elif ins[1] in globals_:
+                        thread.pending = ("write", ins[1], stack[-1], ins[2])
+                        break
+                    else:
+                        raise _ProgramFault(f"unknown identifier '{ins[1]}'")
+                elif op == "binary":
+                    rhs = stack.pop()
+                    stack[-1] = ins[1](stack[-1], rhs)
+                elif op == "pop":
+                    stack.pop()
+                elif op == "branch":
+                    if (stack.pop() != 0) == ins[2]:
+                        pc = ins[1]
+                elif op == "jump":
+                    pc = ins[1]
+                elif op == "loop":
+                    iterations += 1
+                    if iterations > self.step_budget:
+                        self._over_budget(thread)
+                        thread.pending = None
+                        return
+                    pc = ins[1]
+                elif op == "decl":
+                    env[ins[1]] = stack.pop()
+                elif op == "unary":
+                    stack[-1] = ins[1](stack[-1])
+                elif op == "check_handle":
+                    if ins[1] not in env:
+                        raise _ProgramFault(f"'{ins[1]}' is not a declared pthread_t")
+                elif op == "join":
+                    thread.pending = ("join", env[ins[1]], ins[2])
+                    break
+                elif op == "return":
+                    thread.pending = None
+                    if thread.held:
+                        held = ", ".join(sorted(thread.held))
+                        self._diag("warning", f"thread {thread.tid} finished still holding {held}")
+                    return
+                elif op == "fault":
+                    raise _ProgramFault(ins[1])
+                else:  # lock, unlock, create
+                    thread.pending = ins
+                    break
         except _ProgramFault as fault:
             self._diag("error", f"thread {thread.tid}: {fault}")
             self.aborted = True
             thread.pending = None
-            thread.status = _FINISHED
-            thread.final_clock = thread.clock
+            return
+        thread.pc = pc
 
-    def _enabled(self, thread: _ThreadState) -> bool:
+    def _enabled(self, thread: _Thread) -> bool:
         intent = thread.pending
-        if intent is None:
-            return False
         op = intent[0]
         if op == "lock":
-            owner = self.mutex_owner.get(intent[1])
+            owner = self.mutex_owner[intent[1]]
             if owner is None:
                 return True
             if owner == thread.tid and not thread.self_blocked:
                 thread.self_blocked = True
+                thread.saved = None
                 self._diag(
                     "error",
                     f"thread {thread.tid} locks '{intent[1]}' which it already "
@@ -649,7 +798,7 @@ class _Run:
         if op == "join":
             target = intent[1]
             if isinstance(target, int) and 0 <= target < len(self.threads):
-                return self.threads[target].status == _FINISHED
+                return self.threads[target].pending is None
             return True  # invalid handle: fault when executed
         return True
 
@@ -659,55 +808,50 @@ class _Run:
         history.append(record)
 
         state = self.lockset_states.setdefault(record.variable, LocksetState())
+        self.trail.append((_undo_access, history, state, state.candidates, state.last))
         race = lockset_check(record, state)
         if race is not None:
             self.ls_races.append(race)
 
     # -- one scheduling step -------------------------------------------
 
-    def _execute(self, thread: _ThreadState) -> None:
+    def _execute(self, thread: _Thread) -> None:
         intent = thread.pending
         op = intent[0]
+        thread.saved = None
         thread.steps += 1
         if thread.steps > self.step_budget:
-            self._diag(
-                "warning",
-                f"thread {thread.tid} exceeded the step budget of {self.step_budget}; "
-                "schedule truncated",
-            )
-            self.aborted = True
-            self.budget_exceeded = True
+            self._over_budget(thread)
             return
 
         if op == "read":
             _, var, coord = intent
-            record = AccessRecord(var, "read", thread.tid, thread.clock,
-                                  frozenset(thread.held), coord, thread.function)
-            self._note_access(record)
+            self._note_access(AccessRecord(var, "read", thread.tid, thread.clock,
+                                           thread.held, coord, thread.function))
             self._trace(("read", thread.tid, var, coord))
             self._advance(thread, self.globals_[var])
             return
         if op == "write":
             _, var, value, coord = intent
-            record = AccessRecord(var, "write", thread.tid, thread.clock,
-                                  frozenset(thread.held), coord, thread.function)
-            self._note_access(record)
+            self._note_access(AccessRecord(var, "write", thread.tid, thread.clock,
+                                           thread.held, coord, thread.function))
+            self.trail.append((self.globals_.__setitem__, var, self.globals_[var]))
             self.globals_[var] = value
             self._trace(("write", thread.tid, var, coord))
-            self._advance(thread, None)
+            self._advance(thread)
             return
         if op == "lock":
             _, mutex, coord = intent
+            self.trail.append((self.mutex_owner.__setitem__, mutex, None))
             self.mutex_owner[mutex] = thread.tid
-            thread.held.add(mutex)
-            thread.clock = sync_lock(thread.clock, thread.tid,
-                                     self.mutex_clock.get(mutex, VectorClock()))
+            thread.held = thread.held | {mutex}
+            thread.clock = sync_lock(thread.clock, thread.tid, self.mutex_clock[mutex])
             self._trace(("lock", thread.tid, mutex, coord))
-            self._advance(thread, None)
+            self._advance(thread, 0)
             return
         if op == "unlock":
             _, mutex, coord = intent
-            if self.mutex_owner.get(mutex) != thread.tid:
+            if self.mutex_owner[mutex] != thread.tid:
                 self._diag(
                     "error",
                     f"thread {thread.tid} unlocks '{mutex}' which it does not hold",
@@ -715,15 +859,17 @@ class _Run:
                 self.aborted = True
                 return
             published, after = sync_unlock(thread.clock, thread.tid)
+            self.trail.append((self.mutex_owner.__setitem__, mutex, thread.tid))
+            self.trail.append((self.mutex_clock.__setitem__, mutex, self.mutex_clock[mutex]))
             self.mutex_clock[mutex] = published
             self.mutex_owner[mutex] = None
-            thread.held.discard(mutex)
+            thread.held = thread.held - {mutex}
             thread.clock = after
             self._trace(("unlock", thread.tid, mutex, coord))
-            self._advance(thread, None)
+            self._advance(thread, 0)
             return
         if op == "create":
-            _, target, coord = intent
+            _, target, coord, handle = intent
             if len(self.threads) >= MAX_THREADS:
                 self._diag("error", f"thread limit of {MAX_THREADS} exceeded")
                 self.aborted = True
@@ -731,13 +877,12 @@ class _Run:
             child_tid = len(self.threads)
             child_clock, parent_clock = sync_create(thread.clock, thread.tid, child_tid)
             thread.clock = parent_clock
-            child = _ThreadState(child_tid, target,
-                                 _thread_main(self.model, self.model.functions[target], 0),
-                                 child_clock)
+            child = _Thread(child_tid, target, self.model.functions[target], child_clock)
             self.threads.append(child)
-            self._advance(child, None)
+            self._advance(child)
             self._trace(("create", thread.tid, child_tid, coord))
-            self._advance(thread, child_tid)
+            thread.env[handle] = child_tid
+            self._advance(thread, 0)
             return
         if op == "join":
             _, target, coord = intent
@@ -745,10 +890,9 @@ class _Run:
                 self._diag("error", f"thread {thread.tid} joins an invalid handle")
                 self.aborted = True
                 return
-            thread.clock = sync_join(thread.clock, thread.tid,
-                                     self.threads[target].final_clock)
+            thread.clock = sync_join(thread.clock, thread.tid, self.threads[target].clock)
             self._trace(("join", thread.tid, target, coord))
-            self._advance(thread, None)
+            self._advance(thread, 0)
             return
         raise AssertionError(f"unknown intent {op}")
 
@@ -758,25 +902,29 @@ class _Run:
 
     # -- main loop ------------------------------------------------------
 
-    def execute(self) -> None:
+    def execute(self, choose) -> None:
         while not self.aborted:
-            alive = [t for t in self.threads if t.status != _FINISHED]
-            if not alive:
+            pending = {}  # tid -> (kind, object) of every live thread
+            enabled = []
+            for t in self.threads:
+                if t.pending is not None:
+                    pending[t.tid] = t.pending[:2]
+                    if self._enabled(t):
+                        enabled.append(t.tid)
+            if not pending:
                 return
-            enabled = tuple(t.tid for t in alive if self._enabled(t))
             if not enabled:
-                self._record_deadlock(alive)
+                self._record_deadlock()
                 return
-            pending = {t.tid: t.pending[:2] for t in alive}
-            choice = self.choose(len(self.decisions), enabled, pending)
-            if choice is None:
+            step = choose(self, tuple(enabled), pending)
+            if step is None:
                 return
-            self.decisions.append(_Step(enabled, choice, pending))
-            self._execute(self.threads[choice])
+            self.path.append(step)
+            self._execute(self.threads[step.choice])
 
-    def _record_deadlock(self, alive: list) -> None:
+    def _record_deadlock(self) -> None:
         blocked = []
-        for t in sorted(alive, key=lambda t: t.tid):
+        for t in self.threads:
             intent = t.pending
             if intent is None:
                 continue
@@ -787,7 +935,7 @@ class _Run:
             else:  # unreachable for a stuck thread
                 waiting = intent[0]
             blocked.append(BlockedThread(t.tid, waiting, tuple(sorted(t.held))))
-        self.deadlock = DeadlockRecord(tuple(blocked), tuple(s.choice for s in self.decisions))
+        self.deadlock = DeadlockRecord(tuple(blocked), tuple(s.choice for s in self.path))
 
 
 # ---------------------------------------------------------------------------
@@ -798,87 +946,84 @@ class _Run:
 class _Exhaustive:
     """Every interleaving: each alternative at each decision is a new prefix.
 
-    Follows `prefix`, then lets the lowest enabled thread run.
+    Follows `prefix`, then lets the lowest enabled thread run.  Every
+    schedule starts from the initial state, so this search is also the
+    reference for DPOR's restore.
     """
 
     def __init__(self, prefix: tuple = ()):
         self.prefix = prefix
         self.pending: list[tuple] = []
 
-    def choose(self, index: int, enabled: tuple, pending: dict):
-        return self.prefix[index] if index < len(self.prefix) else enabled[0]
+    def choose(self, run: _Run, enabled: tuple, pending: dict) -> _Step:
+        index = len(run.path)
+        choice = self.prefix[index] if index < len(self.prefix) else enabled[0]
+        return _Step(enabled, choice, pending)
 
-    def advance(self, run: _Run) -> bool:
-        choices = tuple(step.choice for step in run.decisions)
+    def advance(self, run: _Run) -> _Run | None:
+        """The run for the next schedule, or None when all are done."""
+        choices = tuple(step.choice for step in run.path)
         for i in range(len(choices) - 1, len(self.prefix) - 1, -1):
-            step = run.decisions[i]
+            step = run.path[i]
             for alt in reversed(step.enabled):
                 if alt != step.choice:
                     self.pending.append(choices[:i] + (alt,))
         if not self.pending:
-            return False
+            return None
         self.prefix = self.pending.pop()
-        return True
-
-
-class _Node:
-    """A state on the current DPOR path."""
-
-    __slots__ = ("enabled", "pending", "chosen", "backtrack", "sleep")
-
-    def __init__(self, enabled: tuple, pending: dict, chosen: int, sleep: dict):
-        self.enabled = enabled
-        self.pending = pending  # tid -> (kind, object), as in _Step
-        self.chosen = chosen
-        self.backtrack = {chosen}
-        # tid -> (kind, object): threads whose next step from here only
-        # leads to schedules equivalent to explored ones
-        self.sleep = sleep
+        return _Run(run.model, run.step_budget, run.record_trace)
 
 
 class _Dpor:
-    """Stateless DPOR with sleep sets (Flanagan & Godefroid, POPL 2005).
+    """DPOR with sleep sets (Flanagan & Godefroid, POPL 2005).
 
-    `stack` holds the states of the current schedule.  After each run the
-    races of its trace add threads to the backtrack sets of earlier
-    states; the next run replays the path up to the deepest state with a
-    backtrack thread left to try and not asleep, then takes it.
+    After each run the races of its trace add threads to the backtrack
+    sets of earlier steps on `run.path`.  The run is then restored to the
+    state before the deepest step with a backtrack thread left to try and
+    not asleep, and goes on from there with that thread.  Only a step with
+    more than one enabled thread can have one, so only those save state.
     """
 
     def __init__(self):
-        self.stack: list[_Node] = []
+        self.resume: _Step | None = None
 
-    def choose(self, index: int, enabled: tuple, pending: dict):
-        if index < len(self.stack):
-            return self.stack[index].chosen
+    def choose(self, run: _Run, enabled: tuple, pending: dict) -> _Step | None:
+        if self.resume is not None:  # `advance` restored the state this step was saved in
+            step, self.resume = self.resume, None
+            return step
         sleep = {}
-        if index:
-            parent = self.stack[index - 1]
-            key = _conflict_key(parent.pending[parent.chosen])
+        if run.path:
+            parent = run.path[-1]
+            key = _conflict_key(parent.op)
             sleep = {tid: op for tid, op in parent.sleep.items()
                      if key is None or _conflict_key(op) != key}
         awake = [tid for tid in enabled if tid not in sleep]
         if not awake:
             return None  # every schedule from here is one already explored
-        self.stack.append(_Node(enabled, pending, awake[0], sleep))
-        return awake[0]
+        step = _Step(enabled, awake[0], pending, sleep)
+        if len(enabled) > 1:
+            step.saved = run.save()
+        return step
 
-    def advance(self, run: _Run) -> bool:
+    def advance(self, run: _Run) -> _Run | None:
+        """`run`, restored for the next schedule, or None when all are done."""
+        path = run.path
         for state, tid in _reversals(run):
-            node = self.stack[state]
+            node = path[state]
             if tid in node.enabled:
                 node.backtrack.add(tid)
             else:
                 node.backtrack.update(node.enabled)
-        while self.stack:
-            node = self.stack[-1]
-            node.sleep[node.chosen] = node.pending[node.chosen]
+        while path:
+            node = path.pop()
+            node.sleep[node.choice] = node.op
             options = node.backtrack.difference(node.sleep)
             if options:
-                node.chosen = min(options)
-                return True
-            self.stack.pop()
-        return False
+                node.choice = min(options)
+                run.restore(node.saved)
+                self.resume = node
+                return run
+        return None
 
 
 def _reversals(run: _Run) -> list[tuple[int, int]]:
@@ -895,15 +1040,14 @@ def _reversals(run: _Run) -> list[tuple[int, int]]:
     operation that stops every other thread, so it depends on all of
     their pending operations.
     """
-    steps = run.decisions
+    steps = run.path
     n = len(steps)
     if not n:
         return []
-    final = {t.tid: t.pending[:2] for t in run.threads if t.status != _FINISHED}
+    final = {t.tid: t.pending[:2] for t in run.threads if t.pending is not None}
     if run.aborted:
         final.pop(steps[-1].choice, None)  # its next operation never runs
     pendings = [step.pending for step in steps] + [final]
-
     # clocks[tid][u] is one more than the index of the latest event of
     # thread u that happens before thread tid's next operation.
     clocks: list[list[int]] = [[0] * MAX_THREADS]
@@ -985,13 +1129,12 @@ def explore(
     explored = 0
     truncated = False
 
-    more = True
-    while more:
+    run = _Run(model, step_budget, record_traces)
+    while run is not None:
         if explored >= bound:
             truncated = True
             break
-        run = _Run(model, search.choose, step_budget, record_traces)
-        run.execute()
+        run.execute(search.choose)
         explored += 1
 
         for race in run.hb_races:
@@ -1006,7 +1149,7 @@ def explore(
             truncated = True
         if record_traces:
             traces.append(tuple(run.trace))
-        more = search.advance(run)
+        run = search.advance(run)
 
     return Verdict(
         hb_races=tuple(sorted(hb.values(), key=DetectedRace.key)),
@@ -1020,10 +1163,9 @@ def explore(
 
 
 def replay(tree: CstNode, schedule: tuple, step_budget: int = DEFAULT_STEP_BUDGET) -> _Run:
-    """Re-execute one recorded schedule prefix; used to confirm deadlocks."""
-    search = _Exhaustive(tuple(schedule))
-    run = _Run(build_model(tree), search.choose, step_budget, record_trace=True)
-    run.execute()
+    """Re-execute one recorded schedule prefix from the initial state."""
+    run = _Run(build_model(tree), step_budget, record_trace=True)
+    run.execute(_Exhaustive(tuple(schedule)).choose)
     return run
 
 

@@ -1,4 +1,5 @@
 import pathlib
+import signal
 
 import pytest
 
@@ -16,6 +17,25 @@ RACY_PROGRAMS = [
     "adjacent_merge.c",
     "nested_while_merge.c",
 ]
+
+
+class Overtime(Exception):
+    """Not an OSError, which the CLI would report as an input error."""
+
+
+def within_seconds(seconds: float, func):
+    """`func()`, or Overtime if it runs longer than `seconds`."""
+
+    def expired(signum, frame):
+        raise Overtime(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return func()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def corpus_files():

@@ -28,7 +28,7 @@ from racefixer.detector import (
     sync_unlock,
 )
 
-from conftest import corpus
+from conftest import corpus, within_seconds
 from oracle import all_races
 
 
@@ -265,6 +265,15 @@ class TestExplore:
         assert verdict.truncated
         assert any("step budget" in d.message for d in verdict.diagnostics)
 
+    @pytest.mark.parametrize("body", ["", "continue;"])
+    def test_step_budget_stops_loops_without_shared_access(self, body):
+        # such a loop never reaches a shared operation, so only counting
+        # its iterations stops it
+        tree = parse_source(f"int main() {{ while (1) {{ {body} }} return 0; }}\n")
+        verdict = within_seconds(1.0, lambda: explore(tree))
+        assert verdict.truncated
+        assert any("step budget" in d.message for d in verdict.diagnostics)
+
     def test_missing_main_rejected(self):
         with pytest.raises(UnsupportedConstruct):
             explore(parse_source("int x;\n"))
@@ -399,6 +408,12 @@ class TestResourceLimits:
 class TestModelValidation:
     def test_non_constant_global_initializer_rejected(self):
         source = "int a;\nint b = a;\nint main() { return 0; }\n"
+        with pytest.raises(UnsupportedConstruct):
+            explore(parse_source(source))
+
+    @pytest.mark.parametrize("init", ["1 / 0", "1 % 0", "1 && 1"])
+    def test_faulting_global_initializer_rejected(self, init):
+        source = f"int a = {init};\nint main() {{ return 0; }}\n"
         with pytest.raises(UnsupportedConstruct):
             explore(parse_source(source))
 

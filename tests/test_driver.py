@@ -6,7 +6,7 @@ from racefixer import FixConfig, SourceCoord, explore, parse_source, render_diff
 from racefixer.cli import main as cli_main
 from racefixer.driver import STATUS_CLEAN, STATUS_DEADLOCK, STATUS_NOTHING
 
-from conftest import FIXTURES_DIR, corpus
+from conftest import FIXTURES_DIR, corpus, within_seconds
 
 
 class TestRunBuiltin:
@@ -249,6 +249,13 @@ class TestCli:
         assert code == 1
         assert out.splitlines()[0] == "Global 4 5 11 5"
         assert "explored=2" in out
+
+    @pytest.mark.parametrize("body", ["", "continue;"])
+    def test_detect_stops_loop_without_shared_access(self, tmp_path, capsys, body):
+        path = tmp_path / "spin.c"
+        path.write_text(f"int main() {{ while (1) {{ {body} }} return 0; }}\n")
+        within_seconds(1.0, lambda: cli_main(["detect", str(path)]))
+        assert "truncated=1" in capsys.readouterr().out
 
     def test_detect_clean_exit_zero(self, tmp_source, capsys):
         path = tmp_source("clean_locked.c")
