@@ -102,10 +102,8 @@ def _cmd_detect(args) -> int:
         Path(args.source).name,
     )
     if args.tsan_format:
-        mode_races = verdict.hb_races if args.lockset_mode == "hb" else (
-            verdict.lockset_races if args.lockset_mode == "lockset"
-            else verdict.hb_races + verdict.lockset_races
-        )
+        mode_races = detector.select_races(verdict.hb_races, verdict.lockset_races,
+                                           args.lockset_mode)
         print(detector.render_tsan_log(mode_races, args.source), end="")
     else:
         print(format_summary(races), end="")

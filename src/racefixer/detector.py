@@ -5,11 +5,11 @@ deterministic interpreter runs every thread up to its next shared
 operation; a depth-first scheduler enumerates thread interleavings up to a
 configurable bound of schedules.  By default it uses dynamic
 partial-order reduction (Flanagan & Godefroid, POPL 2005) with sleep
-sets: after each schedule it computes happens-before over the executed
-trace and branches only where two dependent operations of different
-threads could run in the other order.  Operations are dependent when they
-touch the same variable (reads included), the same mutex, or are both
-thread creations.  Schedules that differ only in the order of
+sets: as each operation runs it extends happens-before over the current
+schedule, and the search branches only where two dependent operations
+of different threads could run in the other order.  Operations are
+dependent when they touch the same variable (reads included), the same
+mutex, or are both thread creations.  Schedules that differ only in the order of
 independent operations give the same races, lockset results, deadlocks
 and diagnostics, so one of them is enough; the bound therefore counts
 reduced schedules.  ``reduction="none"`` branches at every operation and
@@ -27,9 +27,13 @@ A thread's state is its position in its code, its operand stack and its
 variables, so it can be copied.  DPOR saves the state at each decision
 with more than one enabled thread, logs every later change to shared
 state for undoing, and starts the next schedule from the deepest saved
-decision instead of from the beginning.  A schedule is still just the list
-of thread choices taken at each decision point, and ``replay`` re-runs a
-prefix exactly from the initial state.
+decision instead of from the beginning.  Its own bookkeeping (clocks and
+the latest operation on each object) is rolled back with that state, so
+a schedule costs only the steps it does not share with the previous
+one, and ``explore`` reads only the results those steps add.  A
+schedule is still just the list of thread choices taken at each
+decision point, and ``replay`` re-runs a prefix exactly from the initial
+state.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .reports import DataRace, Diagnostic, RaceSet, SourceCoord, merge_runs
+from .reports import DataRace, Diagnostic, RaceSet, SourceCoord
 from . import cst
 from .cst import CstNode
 
@@ -73,19 +77,17 @@ class VectorClock:
             return VectorClock(counts[:tid] + (counts[tid] + 1,) + counts[tid + 1:])
         return VectorClock(counts + (0,) * (tid - len(counts)) + (1,))
 
-    def _padded(self, other: "VectorClock") -> tuple[tuple, tuple]:
+    def join(self, other: "VectorClock") -> "VectorClock":
         a, b = self.counts, other.counts
         if len(a) < len(b):
-            a += (0,) * (len(b) - len(a))
-        elif len(b) < len(a):
-            b += (0,) * (len(a) - len(b))
-        return a, b
-
-    def join(self, other: "VectorClock") -> "VectorClock":
-        return VectorClock(tuple(map(max, *self._padded(other))))
+            a, b = b, a
+        return VectorClock(tuple(map(max, a, b)) + a[len(b):])
 
     def leq(self, other: "VectorClock") -> bool:
-        return all(map(operator.le, *self._padded(other)))
+        # counts are never negative, so only a nonzero count past the end
+        # of `other` can exceed its missing zeros
+        a, b = self.counts, other.counts
+        return all(map(operator.le, a, b)) and not any(a[len(b):])
 
     def concurrent_with(self, other: "VectorClock") -> bool:
         return not self.leq(other) and not other.leq(self)
@@ -241,6 +243,21 @@ def lockset_check(current: AccessRecord, state: LocksetState) -> DetectedRace | 
     return race
 
 
+def select_races(hb_races, lockset_races, mode: str) -> tuple[DetectedRace, ...]:
+    """The races a lockset mode reports: the happens-before ones ("hb"),
+    the lockset ones ("lockset"), or both, one race per key ("union")."""
+    if mode == "hb":
+        return tuple(hb_races)
+    if mode == "lockset":
+        return tuple(lockset_races)
+    if mode == "union":
+        by_key: dict = {}
+        for race in (*hb_races, *lockset_races):
+            by_key.setdefault(race.key(), race)
+        return tuple(by_key.values())
+    raise ValueError(f"unknown lockset mode: {mode!r}")
+
+
 def hybrid_verdict(
     hb_races, lockset_races, mode: str = "hb", file: str | None = None
 ) -> tuple[RaceSet, tuple[Diagnostic, ...]]:
@@ -250,24 +267,20 @@ def hybrid_verdict(
     lockset-only findings become advisory diagnostics.  "lockset" and
     "union" modes are available for comparison.
     """
-    hb_set = RaceSet.of([r.to_data_race(file) for r in hb_races])
-    ls_set = RaceSet.of([r.to_data_race(file) for r in lockset_races])
-    if mode == "hb":
-        known = {r.key() for r in hb_set}
-        advisories = tuple(
-            Diagnostic(
-                "advisory",
-                f"lockset-only race (possible false positive): {r.summary_line()}",
-            )
-            for r in ls_set
-            if r.key() not in known
+    selected = select_races(hb_races, lockset_races, mode)
+    races = RaceSet.of([r.to_data_race(file) for r in selected])
+    if mode != "hb":
+        return races, ()
+    known = {r.key() for r in races}
+    advisories = tuple(
+        Diagnostic(
+            "advisory",
+            f"lockset-only race (possible false positive): {r.summary_line()}",
         )
-        return hb_set, advisories
-    if mode == "lockset":
-        return ls_set, ()
-    if mode == "union":
-        return merge_runs([hb_set, ls_set]), ()
-    raise ValueError(f"unknown lockset mode: {mode!r}")
+        for r in RaceSet.of([r.to_data_race(file) for r in lockset_races])
+        if r.key() not in known
+    )
+    return races, advisories
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +357,12 @@ def _coord(ident: CstNode) -> SourceCoord:
     return SourceCoord(ident.token.line, ident.token.column)
 
 
+def _access(ins: str, name: str, coord: SourceCoord) -> tuple:
+    """A "read" or "store" of `name`, with its op should `name` be a global."""
+    kind = "write" if ins == "store" else "read"
+    return (ins, name, coord, (kind, name, ("var", name)))
+
+
 class _Compiler:
     """Compiles one function into a flat list of instructions.
 
@@ -353,14 +372,15 @@ class _Compiler:
     ``("decl", name)``,
     ``("jump", pc)``, ``("branch", pc, if_nonzero)``, ``("loop", pc)`` (a
     jump back to a loop's condition), ``("check_handle", name)``,
-    ``("fault", message)`` and ``("return",)``.  ``("read", name, coord)``
-    and ``("store", name, coord)`` use the function's variable if it has
-    been declared by then, and otherwise the global: a shared operation.
-    ``("lock", mutex, coord)``, ``("unlock", mutex, coord)``,
-    ``("create", function, coord, handle)`` and ``("join", handle,
-    coord)`` are always shared.  Shapes the interpreter cannot run compile
-    to a fault at the point where they would run, so a schedule that never
-    reaches them is unaffected.
+    ``("fault", message)`` and ``("return",)``.  ``("read", name, coord,
+    op)`` and ``("store", name, coord, op)`` use the function's variable if
+    it has been declared by then, and otherwise the global: a shared
+    operation.  ``("lock", mutex, coord, op)``, ``("unlock", mutex, coord,
+    op)``, ``("create", function, coord, handle, op)`` and ``("join",
+    handle, coord)`` are always shared.  `op` is what the scheduler sees of
+    the operation, (kind, object, conflict key); see `_Step`.  Shapes the
+    interpreter cannot run compile to a fault at the point where they
+    would run, so a schedule that never reaches them is unaffected.
     """
 
     def __init__(self, mutexes: frozenset, functions: dict):
@@ -438,7 +458,7 @@ class _Compiler:
         if kind == cst.INT_LITERAL:
             emit(("const", expr.value))
         elif kind == cst.IDENTIFIER:
-            emit(("read", expr.name, _coord(expr)))
+            emit(_access("read", expr.name, _coord(expr)))
         elif kind == cst.UNARY_EXPR:
             self.expr(expr.operand)
             emit(("unary", _UNARY[expr.op]))
@@ -459,12 +479,12 @@ class _Compiler:
         elif kind == cst.ASSIGN_EXPR:
             name, coord = expr.target.name, _coord(expr.target)
             if expr.op == "+=":
-                emit(("read", name, coord))
+                emit(_access("read", name, coord))
                 self.expr(expr.value)
                 emit(("binary", operator.add))
             else:
                 self.expr(expr.value)
-            emit(("store", name, coord))
+            emit(_access("store", name, coord))
         elif kind == cst.CALL_EXPR:
             self.call(expr)
         elif kind == cst.ADDR_OF:
@@ -484,7 +504,8 @@ class _Compiler:
                 fault = f"'{args[0].operand.name}' is not a declared mutex"
             else:
                 op = "lock" if name == "pthread_mutex_lock" else "unlock"
-                emit((op, args[0].operand.name, _coord(call.callee)))
+                mutex = args[0].operand.name
+                emit((op, mutex, _coord(call.callee), (op, mutex, ("mutex", mutex))))
         elif name == "pthread_create":
             if len(args) != 4 or args[2].kind != cst.IDENTIFIER:
                 raise UnsupportedConstruct(
@@ -501,7 +522,8 @@ class _Compiler:
                 for arg in (args[1], args[3]):
                     self.expr(arg)
                     emit(("pop",))
-                emit(("create", target, _coord(call.callee), handle))
+                emit(("create", target, _coord(call.callee), handle,
+                      ("create", target, "create")))
         elif name == "pthread_join":
             if len(args) != 2 or args[0].kind != cst.IDENTIFIER:
                 fault = "pthread_join expects (handle, 0)"
@@ -541,40 +563,30 @@ def build_model(tree: CstNode) -> _Model:
 # One deterministic execution
 # ---------------------------------------------------------------------------
 
-# Operations of one class on the same object are dependent; a join has no
-# class, since its happens-before edge from the target already orders it.
-_CONFLICT_CLASS = {"read": "var", "write": "var", "lock": "mutex", "unlock": "mutex",
-                   "create": "create"}
-
-
-def _conflict_key(op: tuple):
-    """What `op` = (kind, object) conflicts on; None if nothing.
-
-    Every create conflicts with every other, because thread ids are
-    assigned in creation order.
-    """
-    cls = _CONFLICT_CLASS.get(op[0])
-    if cls is None or cls == "create":
-        return cls
-    return (cls, op[1])
-
-
 class _Step:
     """One scheduling decision on the current path: who could run, who
-    ran, and what each live thread was about to do, as (kind, object)
-    pairs.  DPOR also keeps the threads still to try from here
-    (`backtrack`), those that need not be (`sleep`, tid -> (kind,
-    object)), and what restores the state before this step (`saved`)."""
+    ran, and what each live thread was about to do, as (kind, object,
+    conflict key) triples.  Two operations are dependent when their
+    conflict keys are equal and not None: ("var", name) for a read or
+    write, ("mutex", name) for a lock or unlock, and "create" for every
+    create, since thread ids are assigned in creation order.  A join has
+    no key, since its happens-before edge from the target orders it.
 
-    __slots__ = ("enabled", "choice", "pending", "backtrack", "sleep", "saved")
+    DPOR also keeps the threads still to try from here (`backtrack`),
+    those that need not be (`sleep`, tid -> triple), what restores the
+    state before this step (`saved`), and the vector clock of the event
+    once it has been ordered (`clock`, see `_Dpor`)."""
+
+    __slots__ = ("enabled", "choice", "pending", "backtrack", "sleep", "saved", "clock")
 
     def __init__(self, enabled: tuple, choice: int, pending: dict, sleep=None):
         self.enabled = enabled
         self.choice = choice
-        self.pending = pending  # tid -> (kind, object)
+        self.pending = pending  # tid -> (kind, object, conflict key)
         self.backtrack = {choice}
         self.sleep = sleep
         self.saved = None
+        self.clock = None
 
     @property
     def op(self) -> tuple:
@@ -584,11 +596,15 @@ class _Step:
 class _Thread:
     """One thread: where it is in its function's code, its operand stack
     and variables, and its scheduling state.  `pending` is the shared
-    operation it waits to run, None once it has finished.  `saved` caches
-    `save()` until the thread next changes."""
+    operation it waits to run, None once it has finished, and `op` what
+    the scheduler sees of it.  `dpor` and `since` are DPOR's clock for the
+    thread and the step at which its operation became pending; `dpor` is
+    None until DPOR has started or ordered the step that created the
+    thread.
+    `saved` caches `save()` until the thread next changes."""
 
     __slots__ = ("tid", "function", "code", "pc", "stack", "env", "clock", "held",
-                 "pending", "steps", "self_blocked", "saved")
+                 "pending", "op", "steps", "self_blocked", "dpor", "since", "saved")
 
     def __init__(self, tid: int, function: str, code: list, clock: VectorClock):
         self.tid = tid
@@ -600,19 +616,23 @@ class _Thread:
         self.clock = clock
         self.held = frozenset()
         self.pending: tuple | None = None
+        self.op: tuple | None = None
         self.steps = 0
         self.self_blocked = False
+        self.dpor: list | None = None
+        self.since = 0
         self.saved = None
 
     def save(self) -> tuple:
         if self.saved is None:
             self.saved = (self.pc, tuple(self.stack), self.env.copy(), self.clock, self.held,
-                          self.pending, self.steps, self.self_blocked)
+                          self.pending, self.op, self.steps, self.self_blocked, self.dpor,
+                          self.since)
         return self.saved
 
     def restore(self, saved: tuple) -> None:
-        (self.pc, stack, env, self.clock, self.held,
-         self.pending, self.steps, self.self_blocked) = saved
+        (self.pc, stack, env, self.clock, self.held, self.pending, self.op,
+         self.steps, self.self_blocked, self.dpor, self.since) = saved
         self.stack = list(stack)
         self.env = env.copy()
         self.saved = saved
@@ -631,7 +651,10 @@ class _Run:
     decision, or None to stop there.  `save()` records what `restore()`
     needs to bring the run back to that point: the threads' own states,
     and the lengths of `trail`, which holds an undo entry for every change
-    to shared state, and of the append-only results.
+    to shared state, and of the append-only results.  `results_from` are
+    the lengths of `hb_races`, `ls_races` and `diagnostics` that the last
+    restore kept: what a caller has seen already if it read them after
+    every schedule.
     """
 
     def __init__(self, model: _Model, step_budget: int, record_trace: bool):
@@ -657,6 +680,7 @@ class _Run:
         self.path: list[_Step] = []
         self.trace: list[tuple] = []
         self.trail: list[tuple] = []  # (undo function, *its arguments)
+        self.results_from = (0, 0, 0)
         self.aborted = False
         self.budget_exceeded = False
 
@@ -679,6 +703,7 @@ class _Run:
         del self.diagnostics[diag_len:]
         del self.hb_races[hb_len:]
         del self.ls_races[ls_len:]
+        self.results_from = (hb_len, ls_len, diag_len)
         self.threads = [t for t, _ in threads]
         for t, state in threads:
             t.restore(state)
@@ -721,6 +746,7 @@ class _Run:
                         stack.append(env[ins[1]])
                     elif ins[1] in globals_:
                         thread.pending = ins
+                        thread.op = ins[-1]
                         break
                     else:
                         raise _ProgramFault(f"unknown identifier '{ins[1]}'")
@@ -731,6 +757,7 @@ class _Run:
                         env[ins[1]] = stack[-1]
                     elif ins[1] in globals_:
                         thread.pending = ("write", ins[1], stack[-1], ins[2])
+                        thread.op = ins[-1]
                         break
                     else:
                         raise _ProgramFault(f"unknown identifier '{ins[1]}'")
@@ -759,7 +786,9 @@ class _Run:
                     if ins[1] not in env:
                         raise _ProgramFault(f"'{ins[1]}' is not a declared pthread_t")
                 elif op == "join":
-                    thread.pending = ("join", env[ins[1]], ins[2])
+                    target = env[ins[1]]
+                    thread.pending = ("join", target, ins[2])
+                    thread.op = ("join", target, None)
                     break
                 elif op == "return":
                     thread.pending = None
@@ -771,6 +800,7 @@ class _Run:
                     raise _ProgramFault(ins[1])
                 else:  # lock, unlock, create
                     thread.pending = ins
+                    thread.op = ins[-1]
                     break
         except _ProgramFault as fault:
             self._diag("error", f"thread {thread.tid}: {fault}")
@@ -825,7 +855,7 @@ class _Run:
             return
 
         if op == "read":
-            _, var, coord = intent
+            _, var, coord, _ = intent
             self._note_access(AccessRecord(var, "read", thread.tid, thread.clock,
                                            thread.held, coord, thread.function))
             self._trace(("read", thread.tid, var, coord))
@@ -841,7 +871,7 @@ class _Run:
             self._advance(thread)
             return
         if op == "lock":
-            _, mutex, coord = intent
+            _, mutex, coord, _ = intent
             self.trail.append((self.mutex_owner.__setitem__, mutex, None))
             self.mutex_owner[mutex] = thread.tid
             thread.held = thread.held | {mutex}
@@ -850,7 +880,7 @@ class _Run:
             self._advance(thread, 0)
             return
         if op == "unlock":
-            _, mutex, coord = intent
+            _, mutex, coord, _ = intent
             if self.mutex_owner[mutex] != thread.tid:
                 self._diag(
                     "error",
@@ -869,7 +899,7 @@ class _Run:
             self._advance(thread, 0)
             return
         if op == "create":
-            _, target, coord, handle = intent
+            _, target, coord, handle, _ = intent
             if len(self.threads) >= MAX_THREADS:
                 self._diag("error", f"thread limit of {MAX_THREADS} exceeded")
                 self.aborted = True
@@ -904,11 +934,11 @@ class _Run:
 
     def execute(self, choose) -> None:
         while not self.aborted:
-            pending = {}  # tid -> (kind, object) of every live thread
+            pending = {}  # tid -> (kind, object, conflict key) of every live thread
             enabled = []
             for t in self.threads:
                 if t.pending is not None:
-                    pending[t.tid] = t.pending[:2]
+                    pending[t.tid] = t.op
                     if self._enabled(t):
                         enabled.append(t.tid)
             if not pending:
@@ -977,26 +1007,52 @@ class _Exhaustive:
 class _Dpor:
     """DPOR with sleep sets (Flanagan & Godefroid, POPL 2005).
 
-    After each run the races of its trace add threads to the backtrack
-    sets of earlier steps on `run.path`.  The run is then restored to the
-    state before the deepest step with a backtrack thread left to try and
-    not asleep, and goes on from there with that thread.  Only a step with
-    more than one enabled thread can have one, so only those save state.
+    Happens-before is program order, create and join edges, and the order
+    of dependent operations; it is computed online, one step at a time.
+    Step k is ordered when the state after it is known: by `choose` at
+    the next decision, or by `advance` at the end of the run.  A thread's
+    next operation races with every dependent operation of another thread
+    from the state where it became pending until it runs or the run ends,
+    and with the last dependent operation before that state, if that one
+    does not already happen before the thread.  Checking only where the
+    operation ran would miss a lock that waited on another thread's
+    critical section.  A run that aborted on a fault ends in an operation
+    that stops every other thread, so it depends on all of their pending
+    operations.  Each race adds the other thread to the backtrack set of
+    the earlier step; the thread itself if it was enabled there, else
+    every enabled thread.
+
+    A clock is a list over thread ids whose entry u is one more than the
+    index of the latest step of thread u that happens before.  The search
+    state lives where the run's restore rolls it back: each thread's clock
+    and pending-since step on `_Thread`, each event's clock on its
+    `_Step`, and `last` (conflict key -> index of the latest step on it),
+    whose changes are undone through the run's trail.
+
+    After each run the state is restored to the deepest step with a
+    backtrack thread left to try and not asleep, and goes on from there
+    with that thread.  Only a step with more than one enabled thread can
+    have one, so only those save state.
     """
 
     def __init__(self):
         self.resume: _Step | None = None
+        self.last: dict = {}
 
     def choose(self, run: _Run, enabled: tuple, pending: dict) -> _Step | None:
         if self.resume is not None:  # `advance` restored the state this step was saved in
             step, self.resume = self.resume, None
             return step
         sleep = {}
-        if run.path:
+        if not run.path:
+            run.threads[0].dpor = [0] * MAX_THREADS
+        else:
             parent = run.path[-1]
-            key = _conflict_key(parent.op)
-            sleep = {tid: op for tid, op in parent.sleep.items()
-                     if key is None or _conflict_key(op) != key}
+            self._order(run, len(run.path) - 1)
+            if parent.sleep:
+                key = parent.op[2]
+                sleep = {tid: op for tid, op in parent.sleep.items()
+                         if key is None or op[2] != key}
         awake = [tid for tid in enabled if tid not in sleep]
         if not awake:
             return None  # every schedule from here is one already explored
@@ -1008,94 +1064,76 @@ class _Dpor:
     def advance(self, run: _Run) -> _Run | None:
         """`run`, restored for the next schedule, or None when all are done."""
         path = run.path
-        for state, tid in _reversals(run):
-            node = path[state]
-            if tid in node.enabled:
-                node.backtrack.add(tid)
-            else:
-                node.backtrack.update(node.enabled)
+        if path:
+            last = path[-1]
+            if last.clock is None:  # else `choose` ordered it and then stopped the run
+                self._order(run, len(path) - 1)
+            if run.aborted:  # the fault stops every thread waiting before the last step
+                for t in run.threads:
+                    if t.pending is not None and t.tid != last.choice and t.since < len(path):
+                        _reverse(last, t.tid)
         while path:
             node = path.pop()
             node.sleep[node.choice] = node.op
             options = node.backtrack.difference(node.sleep)
             if options:
                 node.choice = min(options)
+                node.clock = None
                 run.restore(node.saved)
                 self.resume = node
                 return run
         return None
 
-
-def _reversals(run: _Run) -> list[tuple[int, int]]:
-    """(state, thread) pairs where DPOR must also try running `thread`.
-
-    Happens-before over the run's trace is program order, create and join
-    edges, and the trace order of dependent operations.  A thread's next
-    operation races with every dependent operation of another thread
-    from the state where it became pending until it ran or the run
-    ended, and with the last dependent operation before that state, if
-    that one does not already happen before the thread.  Checking only
-    where the operation ran would miss a lock that waited on another
-    thread's critical section.  A run that aborted on a fault ends in an
-    operation that stops every other thread, so it depends on all of
-    their pending operations.
-    """
-    steps = run.path
-    n = len(steps)
-    if not n:
-        return []
-    final = {t.tid: t.pending[:2] for t in run.threads if t.pending is not None}
-    if run.aborted:
-        final.pop(steps[-1].choice, None)  # its next operation never runs
-    pendings = [step.pending for step in steps] + [final]
-    # clocks[tid][u] is one more than the index of the latest event of
-    # thread u that happens before thread tid's next operation.
-    clocks: list[list[int]] = [[0] * MAX_THREADS]
-    event_clocks: list[list[int]] = []
-    last: dict = {}  # conflict key -> index of the latest event on it
-    waiting: dict = {}  # tid -> (conflict key, state it became pending)
-    found: list[tuple[int, int]] = []
-
-    def pend(tid: int, state: int) -> None:
-        key = _conflict_key(pendings[state][tid])
-        waiting[tid] = (key, state)
-        i = last.get(key)
-        if i is not None and clocks[tid][steps[i].choice] <= i:
-            found.append((i, tid))
-
-    pend(0, 0)
-    for k, step in enumerate(steps):
+    def _order(self, run: _Run, k: int) -> None:
+        """Add step `k`, the last one run, to happens-before."""
+        path, last = run.path, self.last
+        step = path[k]
         tid = step.choice
-        op = step.op
-        key = _conflict_key(op)
+        kind, target, key = step.pending[tid]
+        thread = run.threads[tid]
+        clock = thread.dpor
         if key is not None:
-            found.extend((k, other) for other, (wkey, _) in waiting.items()
-                         if wkey == key and other != tid)
-        clock = clocks[tid][:]
-        sources = []
-        if key in last:
-            sources.append(event_clocks[last[key]])
-        if op[0] == "join" and isinstance(op[1], int) and op[1] < len(clocks):
-            sources.append(clocks[op[1]])
-        for other in sources:
-            clock = [max(a, b) for a, b in zip(clock, other)]
-        clock[tid] = k + 1
-        event_clocks.append(clock)
-        clocks[tid] = clock
-        if key is not None:
+            for other, op in step.pending.items():
+                if op[2] == key and other != tid:
+                    _reverse(step, other)
+            i = last.get(key)
+            if i is not None:
+                clock = list(map(max, clock, path[i].clock))
+            # unbound methods: a bound one in every entry would add to the peak
+            run.trail.append((dict.__setitem__, last, key, i) if i is not None
+                             else (dict.pop, last, key))
             last[key] = k
-        if op[0] == "create":
-            child = len(clocks)
-            clocks.append(clock)
-            if child in pendings[k + 1]:
-                pend(child, k + 1)
-        if tid in pendings[k + 1]:
-            pend(tid, k + 1)
-        else:
-            waiting.pop(tid, None)
-    if run.aborted:
-        found.extend((n - 1, tid) for tid, (_, since) in waiting.items() if since < n)
-    return found
+        elif kind == "join" and 0 <= target < len(run.threads):
+            clock = list(map(max, clock, run.threads[target].dpor))
+        if clock is thread.dpor:
+            clock = clock[:]
+        clock[tid] = k + 1
+        step.clock = thread.dpor = clock
+        if kind == "create":
+            child = run.threads[-1]
+            if child.dpor is None:  # else the thread limit stopped the create
+                child.dpor = clock
+                if child.pending is not None:
+                    self._pend(run, child, k + 1)
+        if thread.pending is not None and not run.aborted:  # else it never runs again
+            self._pend(run, thread, k + 1)
+
+    def _pend(self, run: _Run, thread: _Thread, state: int) -> None:
+        """`thread`'s operation became pending at `state`."""
+        thread.since = state
+        i = self.last.get(thread.op[2])
+        if i is not None:
+            step = run.path[i]
+            if thread.dpor[step.choice] <= i:
+                _reverse(step, thread.tid)
+
+
+def _reverse(step: _Step, tid: int) -> None:
+    """DPOR must also try running `tid` at `step`."""
+    if tid in step.enabled:
+        step.backtrack.add(tid)
+    else:
+        step.backtrack.update(step.enabled)
 
 
 def explore(
@@ -1137,13 +1175,14 @@ def explore(
         run.execute(search.choose)
         explored += 1
 
-        for race in run.hb_races:
+        hb_from, ls_from, diag_from = run.results_from
+        for race in run.hb_races[hb_from:]:
             hb.setdefault(race.key(), race)
-        for race in run.ls_races:
+        for race in run.ls_races[ls_from:]:
             ls.setdefault(race.key(), race)
         if run.deadlock is not None:
             deadlocks.setdefault(run.deadlock.threads, run.deadlock)
-        for diag in run.diagnostics:
+        for diag in run.diagnostics[diag_from:]:
             diags.setdefault(diag, None)
         if run.budget_exceeded:
             truncated = True

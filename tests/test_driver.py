@@ -276,6 +276,17 @@ class TestCli:
 
         assert format_race_lines(parse_report(out)) == ["Global 4 5 11 5"]
 
+    @pytest.mark.parametrize("mode", ["hb", "lockset", "union"])
+    @pytest.mark.parametrize("name", ["race_plain.c", "lockset_join.c", "race_two_vars.c"])
+    def test_detect_tsan_format_one_warning_per_race(self, tmp_source, capsys, name, mode):
+        path = str(tmp_source(name))
+        cli_main(["detect", path, "--lockset-mode", mode])
+        summary = capsys.readouterr().out.splitlines()[:-1]  # drop the explored= line
+        cli_main(["detect", path, "--lockset-mode", mode, "--tsan-format"])
+        log = capsys.readouterr().out
+        assert log.count("WARNING: ThreadSanitizer: data race") == len(summary)
+        assert f"reported {len(summary)} warnings" in log
+
     def test_parse_report_cli(self, capsys):
         log = FIXTURES_DIR / "tsan_global_race.log"
         code = cli_main(["parse-report", str(log)])
