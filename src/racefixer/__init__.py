@@ -4,105 +4,24 @@ Pipeline: parse sanitizer race reports (or run the built-in
 interleaving-exploring detector), locate the racy statements in a
 lossless syntax tree, wrap them with per-variable mutex guards, and
 repeat until the detector reports the program clean and deadlock-free.
+
+The package exports the library entry points the README documents and
+the two input errors they raise; everything else lives in its submodule.
 """
 
-from .reports import (
-    DataRace,
-    Diagnostic,
-    ParseResult,
-    RaceSet,
-    SourceCoord,
-    format_summary,
-    merge_runs,
-    parse_report,
-)
-from .cst import (
-    CstNode,
-    NotFoundError,
-    OverlapError,
-    ParseError,
-    Span,
-    StatementHandle,
-    TextEdit,
-    apply_edits,
-    emit,
-    locate,
-    parse_source,
-)
-from .transform import (
-    MutexPlan,
-    Patch,
-    UnknownVariable,
-    UnsupportedControlFlow,
-    check_lock_balance,
-    coalesce,
-    fix_else_if,
-    fix_if_with_else,
-    fix_if_without_else,
-    fix_plain,
-    fix_while,
-    plan_mutex,
-)
-from .detector import (
-    AccessRecord,
-    DetectedRace,
-    UnsupportedConstruct,
-    VectorClock,
-    Verdict,
-    explore,
-    hb_check,
-    hybrid_verdict,
-    lockset_check,
-    render_tsan_log,
-)
-from .driver import FixConfig, FixReport, render_diff, run
+from .cst import ParseError, parse_source
+from .detector import UnsupportedConstruct, explore
+from .driver import FixConfig, run
+from .reports import parse_report
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccessRecord",
-    "CstNode",
-    "DataRace",
-    "DetectedRace",
-    "Diagnostic",
     "FixConfig",
-    "FixReport",
-    "MutexPlan",
-    "NotFoundError",
-    "OverlapError",
     "ParseError",
-    "ParseResult",
-    "Patch",
-    "RaceSet",
-    "SourceCoord",
-    "Span",
-    "StatementHandle",
-    "TextEdit",
-    "UnknownVariable",
     "UnsupportedConstruct",
-    "UnsupportedControlFlow",
-    "VectorClock",
-    "Verdict",
-    "apply_edits",
-    "check_lock_balance",
-    "coalesce",
-    "emit",
     "explore",
-    "fix_else_if",
-    "fix_if_with_else",
-    "fix_if_without_else",
-    "fix_plain",
-    "fix_while",
-    "format_summary",
-    "hb_check",
-    "hybrid_verdict",
-    "locate",
-    "lockset_check",
-    "merge_runs",
     "parse_report",
     "parse_source",
-    "plan_mutex",
-    "render_diff",
-    "render_tsan_log",
     "run",
 ]

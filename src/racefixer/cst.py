@@ -192,7 +192,6 @@ class StatementHandle:
     """A located statement (or condition-owning construct) plus its role."""
 
     node: CstNode
-    parent_kind: str
     role: str
     identifier: CstNode
     reason: str | None = None
@@ -361,8 +360,6 @@ class _Parser:
         node = CstNode(kind, children)
         if init is not None:
             init.parent = node
-        if kind == DECL_STMT:
-            node.type_name = type_tok.text
         node.name = name.text
         node.name_token = name
         node.init = init
@@ -631,29 +628,23 @@ def _classify(identifier: CstNode) -> StatementHandle:
         if node.kind == IF_STMT and child is node.cond:
             parent = node.parent
             if parent.kind == COMPOUND_STMT:
-                return StatementHandle(node, COMPOUND_STMT, ROLE_IF_CONDITION, identifier)
+                return StatementHandle(node, ROLE_IF_CONDITION, identifier)
             if parent.kind == IF_STMT and node is parent.els:
-                return StatementHandle(node, IF_STMT, ROLE_ELSE_IF_CONDITION, identifier)
-            return StatementHandle(
-                node, parent.kind, ROLE_UNSUPPORTED, identifier,
-                reason="if condition inside an unbraced branch",
-            )
+                return StatementHandle(node, ROLE_ELSE_IF_CONDITION, identifier)
+            return StatementHandle(node, ROLE_UNSUPPORTED, identifier,
+                                   reason="if condition inside an unbraced branch")
         if node.kind == WHILE_STMT and child is node.cond:
             parent = node.parent
             if parent.kind == COMPOUND_STMT:
-                return StatementHandle(node, COMPOUND_STMT, ROLE_WHILE_CONDITION, identifier)
-            return StatementHandle(
-                node, parent.kind, ROLE_UNSUPPORTED, identifier,
-                reason="while condition inside an unbraced branch",
-            )
+                return StatementHandle(node, ROLE_WHILE_CONDITION, identifier)
+            return StatementHandle(node, ROLE_UNSUPPORTED, identifier,
+                                   reason="while condition inside an unbraced branch")
         if child.kind in STATEMENT_KINDS and node.kind == COMPOUND_STMT:
-            return StatementHandle(child, COMPOUND_STMT, ROLE_PLAIN, identifier)
+            return StatementHandle(child, ROLE_PLAIN, identifier)
     # Ran out of parents: the reference sits outside any function body,
     # which in this grammar means a global initializer.
-    return StatementHandle(
-        identifier, TRANSLATION_UNIT, ROLE_UNSUPPORTED, identifier,
-        reason="reference in a global initializer cannot be locked",
-    )
+    return StatementHandle(identifier, ROLE_UNSUPPORTED, identifier,
+                           reason="reference in a global initializer cannot be locked")
 
 
 def locate(tree: CstNode, variable: str, at: SourceCoord) -> StatementHandle:

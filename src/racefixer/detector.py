@@ -49,9 +49,6 @@ DEFAULT_BOUND = 100_000
 DEFAULT_STEP_BUDGET = 10_000
 MAX_THREADS = 5  # main plus four spawned threads
 
-MODE_HB = "HappensBefore"
-MODE_LOCKSET = "Lockset"
-
 
 class UnsupportedConstruct(Exception):
     """The program uses something outside the modeled subset."""
@@ -67,9 +64,6 @@ class VectorClock:
     """Per-thread logical counters; missing components read as zero."""
 
     counts: tuple[int, ...] = ()
-
-    def get(self, tid: int) -> int:
-        return self.counts[tid] if tid < len(self.counts) else 0
 
     def tick(self, tid: int) -> "VectorClock":
         counts = self.counts
@@ -142,7 +136,6 @@ class DetectedRace:
     variable: str
     current: AccessRecord
     previous: AccessRecord
-    mode: str
 
     def key(self) -> tuple:
         a, b = sorted((self.current.coord, self.previous.coord))
@@ -207,7 +200,7 @@ def hb_check(current: AccessRecord, history) -> list[DetectedRace]:
         if prior.kind == "read" and current.kind == "read":
             continue
         if current.clock.concurrent_with(prior.clock):
-            races.append(DetectedRace(current.variable, current, prior, MODE_HB))
+            races.append(DetectedRace(current.variable, current, prior))
     return races
 
 
@@ -238,7 +231,7 @@ def lockset_check(current: AccessRecord, state: LocksetState) -> DetectedRace | 
         and not state.candidates
         and (current.kind == "write" or state.last.kind == "write")
     ):
-        race = DetectedRace(current.variable, current, state.last, MODE_LOCKSET)
+        race = DetectedRace(current.variable, current, state.last)
     state.last = current
     return race
 
@@ -554,6 +547,9 @@ def build_model(tree: CstNode) -> _Model:
             bodies[node.name] = node
     if "main" not in bodies:
         raise UnsupportedConstruct("program has no main function")
+    clash = sorted(mutexes & globals_.keys())
+    if clash:
+        raise UnsupportedConstruct(f"'{clash[0]}' is declared both as an int and as a mutex")
     compiler = _Compiler(frozenset(mutexes), bodies)
     functions = {name: compiler.function(func) for name, func in bodies.items()}
     return _Model(globals_, frozenset(mutexes), functions)
@@ -865,14 +861,14 @@ class _Run:
             _, var, value, coord = intent
             self._note_access(AccessRecord(var, "write", thread.tid, thread.clock,
                                            thread.held, coord, thread.function))
-            self.trail.append((self.globals_.__setitem__, var, self.globals_[var]))
+            self.trail.append((dict.__setitem__, self.globals_, var, self.globals_[var]))
             self.globals_[var] = value
             self._trace(("write", thread.tid, var, coord))
             self._advance(thread)
             return
         if op == "lock":
             _, mutex, coord, _ = intent
-            self.trail.append((self.mutex_owner.__setitem__, mutex, None))
+            self.trail.append((dict.__setitem__, self.mutex_owner, mutex, None))
             self.mutex_owner[mutex] = thread.tid
             thread.held = thread.held | {mutex}
             thread.clock = sync_lock(thread.clock, thread.tid, self.mutex_clock[mutex])
@@ -889,8 +885,9 @@ class _Run:
                 self.aborted = True
                 return
             published, after = sync_unlock(thread.clock, thread.tid)
-            self.trail.append((self.mutex_owner.__setitem__, mutex, thread.tid))
-            self.trail.append((self.mutex_clock.__setitem__, mutex, self.mutex_clock[mutex]))
+            self.trail.append((dict.__setitem__, self.mutex_owner, mutex, thread.tid))
+            self.trail.append((dict.__setitem__, self.mutex_clock, mutex,
+                               self.mutex_clock[mutex]))
             self.mutex_clock[mutex] = published
             self.mutex_owner[mutex] = None
             thread.held = thread.held - {mutex}

@@ -1,17 +1,19 @@
-"""The detect -> locate -> patch -> re-detect loop.
+"""The fix loops, one per race source.  `run` reads the file and hands it on.
 
-Each iteration obtains a race set (from the built-in detector or from
-external report files), locates both coordinates of every race, plans
-the matching template, coalesces the patches and applies them.  With the
-built-in detector the patched program is immediately re-checked: a
-deadlock involving one of our synthesized guards rolls the iteration
-back and stops with DeadlockIntroduced.  The loop ends when the program
-is clean, when nothing could be fixed, or at the iteration cap.
+* `_fix_builtin` detects, patches and re-detects until the program is
+  clean, nothing could be fixed, or the iteration cap.  A deadlock on one
+  of our synthesized guards rolls the iteration back (DeadlockIntroduced).
+* `_fix_from_reports` patches the races of the report files once: their
+  coordinates describe the unpatched file.  It then logs an empty second
+  iteration and ends Clean, unless a race could not be acted on
+  (NothingFixable, patched text kept) or the cap is 1.
+
+A round of either loop (`_patch_round`) locates both coordinates of every
+race, plans the matching templates, coalesces the patches and applies them.
 """
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,11 +58,9 @@ class FixConfig:
 class IterationRecord:
     index: int
     races: RaceSet
-    applied: int
+    applied: int = 0
     skipped: list[tuple[DataRace, str]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    deadlocks_after: int = 0
-    races_after: int = 0
 
 
 @dataclass
@@ -87,6 +87,8 @@ class FixReport:
 
 def render_diff(before: str, after: str, name: str = "source") -> str:
     """Unified diff with three context lines; empty when texts match."""
+    import difflib  # only a diff needs it; kept off the import path
+
     diff = difflib.unified_diff(
         before.splitlines(keepends=True),
         after.splitlines(keepends=True),
@@ -107,6 +109,19 @@ def _detect(tree, config: FixConfig, source_name: str):
     return races, verdict, advisories
 
 
+class _Group:
+    """The accesses of one variable that land on one statement: the races
+    behind them and the one patch that serves them all."""
+
+    __slots__ = ("plan", "handle", "races", "patch")
+
+    def __init__(self, plan: transform.MutexPlan, handle: cst.StatementHandle):
+        self.plan = plan
+        self.handle = handle
+        self.races: list[DataRace] = []
+        self.patch: transform.Patch | None = None
+
+
 def _plan_patches(tree, races: RaceSet, record: IterationRecord,
                   diagnostics: list[Diagnostic]):
     """Locate both coordinates of each race and build template patches.
@@ -117,13 +132,11 @@ def _plan_patches(tree, races: RaceSet, record: IterationRecord,
     wins over a condition template because it guards strictly more.
     """
     plans: dict[str, transform.MutexPlan] = {}
-    groups: dict[tuple, dict] = {}  # (variable, statement identity) -> group
+    groups: dict[tuple, _Group] = {}  # (variable, statement identity) -> group
     race_reasons: dict[DataRace, list[str]] = {}
-    race_groups: dict[DataRace, list[dict]] = {}
 
     for race in races:
         race_reasons[race] = []
-        race_groups[race] = []
         try:
             plan = plans.get(race.variable)
             if plan is None:
@@ -145,34 +158,28 @@ def _plan_patches(tree, races: RaceSet, record: IterationRecord,
             key = (race.variable, id(handle.node))
             group = groups.get(key)
             if group is None:
-                group = {"plan": plan, "handle": handle, "races": []}
-                groups[key] = group
-            elif handle.role == cst.ROLE_PLAIN and group["handle"].role != cst.ROLE_PLAIN:
-                group["handle"] = handle
-            group["races"].append(race)
-            race_groups[race].append(group)
+                group = groups[key] = _Group(plan, handle)
+            elif handle.role == cst.ROLE_PLAIN and group.handle.role != cst.ROLE_PLAIN:
+                group.handle = handle
+            group.races.append(race)
 
     patches: list[transform.Patch] = []
     for group in groups.values():
         try:
-            patch = _dispatch(group["handle"], group["plan"])
+            group.patch = transform.patch_for(group.handle, group.plan)
         except transform.UnsupportedControlFlow as exc:
-            group["patch"] = None
-            for race in group["races"]:
-                race_reasons[race].append(
-                    f"{group['handle'].node.span.start}: {exc}"
-                )
+            for race in group.races:
+                race_reasons[race].append(f"{group.handle.node.span.start}: {exc}")
             continue
-        group["patch"] = patch
-        patch.race = group["races"][0]
-        patches.append(patch)
-        for note in patch.notes:
+        patches.append(group.patch)
+        for note in group.patch.notes:
             if note not in record.notes:
                 record.notes.append(note)
 
+    covered = {race for group in groups.values() if group.patch is not None
+               for race in group.races}
     for race in races:
-        covered = any(g.get("patch") is not None for g in race_groups[race])
-        if not covered:
+        if race not in covered:
             record.skipped.append(
                 (race, "; ".join(race_reasons[race]) or "not locatable")
             )
@@ -184,49 +191,47 @@ def _plan_patches(tree, races: RaceSet, record: IterationRecord,
     return patches
 
 
-def _dispatch(handle: cst.StatementHandle, plan: transform.MutexPlan) -> transform.Patch:
-    if handle.role == cst.ROLE_PLAIN:
-        return transform.fix_plain(handle, plan)
-    if handle.role == cst.ROLE_IF_CONDITION:
-        if handle.node.els is not None:
-            return transform.fix_if_with_else(handle, plan)
-        return transform.fix_if_without_else(handle, plan)
-    if handle.role == cst.ROLE_ELSE_IF_CONDITION:
-        return transform.fix_else_if(handle, plan)
-    if handle.role == cst.ROLE_WHILE_CONDITION:
-        return transform.fix_while(handle, plan)
-    raise AssertionError(f"unhandled role {handle.role}")
+def _patch_round(tree, text: str, races: RaceSet, record: IterationRecord,
+                 diagnostics: list[Diagnostic]):
+    """Plan, coalesce and apply the patches for `races`.
+
+    Returns the patched text and its parse, or None when no edit is left.
+    """
+    patches = _plan_patches(tree, races, record, diagnostics)
+    coalesced = transform.coalesce(patches, text)
+    for _, reason in coalesced.deferred:
+        diagnostics.append(Diagnostic("warning", reason))
+    record.applied = len(coalesced.patches)  # coalesce keeps only patches with edits
+    if not coalesced.edits:
+        return None
+    new_text = cst.apply_edits(text, coalesced.edits)
+    return new_text, cst.parse_source(new_text)  # the patched text must stay parseable
 
 
 def run(config: FixConfig) -> FixReport:
     """Fix races in one source file until clean, stuck, or capped."""
     source_path = Path(config.source)
     original = source_path.read_text(encoding="utf-8")
-    source_name = source_path.name
-
-    text = original
     report = FixReport(STATUS_CAP, [], original, original)
-
-    builtin = config.detector == "builtin"
-    races: RaceSet
-    tree = None  # parse of `text`, made once and shared by detection and planning
-    verdict = None
-    if builtin:
-        tree = cst.parse_source(text)
-        races, verdict, advisories = _detect(tree, config, source_name)
-        report.diagnostics.extend(advisories)
+    if config.detector == "builtin":
+        report.final_text = _fix_builtin(config, original, source_path.name, report)
     else:
-        parsed = [parse_report(Path(p).read_text(encoding="utf-8")) for p in config.reports]
-        for result in parsed:
-            report.diagnostics.extend(result.diagnostics)
-        races = merge_runs([result.races for result in parsed])
+        report.final_text = _fix_from_reports(config, original, report)
+    _write_output(config, report)
+    return report
+
+
+def _fix_builtin(config: FixConfig, text: str, source_name: str, report: FixReport) -> str:
+    """Detect, patch and re-detect; sets the status and returns the final text."""
+    tree = cst.parse_source(text)  # shared by detection and planning
+    races, verdict, advisories = _detect(tree, config, source_name)
+    report.diagnostics.extend(advisories)
 
     for index in range(1, config.max_iterations + 1):
-        record = IterationRecord(index, races, applied=0)
+        record = IterationRecord(index, races)
         report.iterations.append(record)
-
         if not races:
-            if builtin and verdict is not None and verdict.deadlocks:
+            if verdict.deadlocks:
                 report.diagnostics.append(Diagnostic(
                     "warning",
                     "no races, but the program can deadlock on its own mutexes; "
@@ -237,56 +242,27 @@ def run(config: FixConfig) -> FixReport:
                 report.status = STATUS_CLEAN
             break
 
-        if tree is None:
-            tree = cst.parse_source(text)
-        patches = _plan_patches(tree, races, record, report.diagnostics)
-        coalesced = transform.coalesce(patches, text)
-        for patch, reason in coalesced.deferred:
-            report.diagnostics.append(Diagnostic("warning", reason))
-        record.applied = len([p for p in coalesced.patches if not p.empty])
-
-        if not coalesced.edits:
+        patched = _patch_round(tree, text, races, record, report.diagnostics)
+        if patched is None:
             report.status = STATUS_NOTHING
             break
-
-        new_text = cst.apply_edits(text, coalesced.edits)
-        new_tree = cst.parse_source(new_text)  # the patched text must stay parseable
-
-        if builtin:
-            races, verdict, advisories = _detect(new_tree, config, source_name)
-            record.races_after = len(races)
-            record.deadlocks_after = len(verdict.deadlocks)
-            introduced = [
-                d for d in verdict.deadlocks if d.involves(MUTEX_PREFIX)
-            ]
-            if introduced:
-                report.diagnostics.append(Diagnostic(
-                    "error",
-                    f"iteration {index} would introduce a deadlock on "
-                    f"{', '.join(sorted(introduced[0].involved_mutexes()))}; rolled back",
-                ))
-                report.status = STATUS_DEADLOCK
-                break  # text deliberately not updated: rollback
-            report.diagnostics.extend(advisories)
-        text, tree = new_text, new_tree
-        if not builtin:
-            if record.skipped:
-                # Some reported races could not be acted on; they remain.
-                report.status = STATUS_NOTHING
-                break
-            # External reports refer to pre-patch coordinates, so they are
-            # consumed by this one pass; a fresh report is needed per run.
-            races = RaceSet.of([])
-            record.races_after = 0
+        races, verdict, advisories = _detect(patched[1], config, source_name)
+        introduced = [d for d in verdict.deadlocks if d.involves(MUTEX_PREFIX)]
+        if introduced:
+            report.diagnostics.append(Diagnostic(
+                "error",
+                f"iteration {index} would introduce a deadlock on "
+                f"{', '.join(sorted(introduced[0].involved_mutexes()))}; rolled back",
+            ))
+            report.status = STATUS_DEADLOCK
+            break  # text deliberately not updated: rollback
+        report.diagnostics.extend(advisories)
+        text, tree = patched
     else:
-        # Cap reached; with the built-in detector the last verification may
-        # still have come back clean.
-        if builtin and not races and verdict is not None and not verdict.deadlocks:
-            report.status = STATUS_CLEAN
-        else:
-            report.status = STATUS_CAP
+        # Cap reached; the last verification may still have come back clean.
+        report.status = STATUS_CLEAN if not races and not verdict.deadlocks else STATUS_CAP
 
-    if verdict is not None and verdict.truncated:
+    if verdict.truncated:
         # `verdict` is the check behind the final status, also after a rollback
         cause = (f"the bound of {config.bound} schedules" if verdict.explored >= config.bound
                  else "a thread's step budget")
@@ -295,10 +271,36 @@ def run(config: FixConfig) -> FixReport:
             f"status={report.status} rests on a truncated search: exploration "
             f"stopped at {cause}, so races or deadlocks may be missing",
         ))
+    return text
 
-    report.final_text = text
-    _write_output(config, report)
-    return report
+
+def _fix_from_reports(config: FixConfig, text: str, report: FixReport) -> str:
+    """Patch the races of the report files once; sets the status and
+    returns the final text."""
+    parsed = [parse_report(Path(p).read_text(encoding="utf-8")) for p in config.reports]
+    for result in parsed:
+        report.diagnostics.extend(result.diagnostics)
+    races = merge_runs([result.races for result in parsed])
+
+    if races:
+        record = IterationRecord(1, races)
+        report.iterations.append(record)
+        patched = _patch_round(cst.parse_source(text), text, races, record,
+                               report.diagnostics)
+        if patched is not None:
+            text = patched[0]
+        if patched is None or record.skipped:
+            # Some reported races could not be acted on; they remain.
+            report.status = STATUS_NOTHING
+            return text
+        if config.max_iterations == 1:
+            report.status = STATUS_CAP
+            return text
+    # Report coordinates describe the unpatched file, so the pass above
+    # consumed them; a fresh report is needed to check the patched text.
+    report.iterations.append(IterationRecord(len(report.iterations) + 1, RaceSet.of([])))
+    report.status = STATUS_CLEAN
+    return text
 
 
 def _write_output(config: FixConfig, report: FixReport) -> None:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .reports import DataRace
 from .cst import (
     ADDR_OF,
     BREAK_STMT,
@@ -36,6 +35,10 @@ from .cst import (
     IF_STMT,
     MUTEX_DECL,
     RETURN_STMT,
+    ROLE_ELSE_IF_CONDITION,
+    ROLE_IF_CONDITION,
+    ROLE_PLAIN,
+    ROLE_WHILE_CONDITION,
     VAR_DECL,
     WHILE_STMT,
     CstNode,
@@ -73,8 +76,7 @@ class UnsupportedControlFlow(Exception):
 class MutexPlan:
     variable: str
     mutex_name: str
-    decl_insertion: TextEdit | None
-    already_declared: bool
+    decl_insertion: TextEdit | None  # None when the file already declares the mutex
 
     @property
     def lock_call(self) -> str:
@@ -87,7 +89,6 @@ class MutexPlan:
 
 @dataclass
 class Patch:
-    race: DataRace | None
     template: str
     mutex: MutexPlan
     edits: list[TextEdit] = field(default_factory=list)
@@ -196,12 +197,11 @@ def _already_wrapped(stmt: CstNode, plan: MutexPlan) -> bool:
 _ESCAPES = {RETURN_STMT: "return", BREAK_STMT: "break", CONTINUE_STMT: "continue"}
 
 
-def _contains_escape(node: CstNode) -> str | None:
-    """Name of a control-flow escape inside `node`, if any."""
+def _refuse_escape(node: CstNode, where: str, consequence: str) -> None:
+    """Raise UnsupportedControlFlow if a control-flow escape sits inside `node`."""
     for sub in node.walk():
         if sub.kind in _ESCAPES:
-            return _ESCAPES[sub.kind]
-    return None
+            raise UnsupportedControlFlow(f"{where} contains '{_ESCAPES[sub.kind]}'; {consequence}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +215,7 @@ def plan_mutex(variable: str, tree: CstNode) -> MutexPlan:
     decl = None
     for child in tree.child_nodes():
         if child.kind == MUTEX_DECL and child.name == mutex_name:
-            return MutexPlan(variable, mutex_name, None, already_declared=True)
+            return MutexPlan(variable, mutex_name, None)
         if child.kind == VAR_DECL and child.name == variable:
             decl = child
     if decl is None:
@@ -228,7 +228,7 @@ def plan_mutex(variable: str, tree: CstNode) -> MutexPlan:
         edit = TextEdit(len(text), len(text), f"\n{line}\n", kind="decl", mutex=mutex_name)
     else:
         edit = TextEdit(newline + 1, newline + 1, f"{line}\n", kind="decl", mutex=mutex_name)
-    return MutexPlan(variable, mutex_name, edit, already_declared=False)
+    return MutexPlan(variable, mutex_name, edit)
 
 
 # ---------------------------------------------------------------------------
@@ -283,26 +283,78 @@ def _branch_entry_unlock(text: str, branch: CstNode, plan: MutexPlan,
     ]
 
 
+def _refold_close(patch: Patch, before: str, after: str, kind: str, col: int) -> None:
+    """Replace the closing brace that _branch_entry_unlock just gave an
+    unbraced branch by one insertion of `kind`: `before`, the brace, `after`."""
+    close = patch.edits.pop()
+    assert close.kind == "brace"
+    patch.edits.append(TextEdit(close.start, close.end, before + close.replacement + after,
+                                kind=kind, mutex=patch.mutex.mutex_name,
+                                anchor=close.start, order_col=col))
+
+
+def _unlock_both_arms(patch: Patch, text: str, ifnode: CstNode, ind: str, unit: str,
+                      col: int) -> None:
+    """Unlock first in both branches of `ifnode`; without an else, append
+    one whose only job is to release the lock."""
+    mutex = patch.mutex
+    patch.edits.extend(_branch_entry_unlock(text, ifnode.then, mutex, ind, unit, col))
+    if ifnode.els is not None:
+        patch.edits.extend(_branch_entry_unlock(text, ifnode.els, mutex, ind, unit, col))
+        return
+    body_ind = ind + unit
+    synth = f" else {{\n{body_ind}{UNLOCK_MARKER}\n{body_ind}{mutex.unlock_call}\n{ind}}}"
+    if ifnode.then.kind == COMPOUND_STMT:
+        pos = ifnode.then.rbrace.end
+        patch.edits.append(TextEdit(pos, pos, synth, kind="else_synth",
+                                    mutex=mutex.mutex_name, anchor=pos, order_col=col))
+    else:
+        _refold_close(patch, "", synth, "else_synth", col)
+
+
 # ---------------------------------------------------------------------------
 # Templates
 # ---------------------------------------------------------------------------
 
 
+def patch_for(handle: StatementHandle, mutex: MutexPlan) -> Patch:
+    """The template patch for a located statement, chosen by its role.
+    Templates are looked up at call time, so wrappers installed on them apply."""
+    role = handle.role
+    if role == ROLE_PLAIN:
+        return fix_plain(handle, mutex)
+    if role == ROLE_IF_CONDITION:
+        if handle.node.els is not None:
+            return fix_if_with_else(handle, mutex)
+        return fix_if_without_else(handle, mutex)
+    if role == ROLE_ELSE_IF_CONDITION:
+        return fix_else_if(handle, mutex)
+    if role == ROLE_WHILE_CONDITION:
+        return fix_while(handle, mutex)
+    raise AssertionError(f"unhandled role {role}")
+
+
+def _begin(handle: StatementHandle, mutex: MutexPlan, template: str, stmt: CstNode):
+    """The patch of a template that reshapes `stmt`, and the layout its edits
+    need: (text, indent unit, indent of `stmt`, ordering column).  The layout
+    is None, and the patch stays without edits, when `stmt` is already wrapped."""
+    patch = Patch(template, mutex, region=(stmt.span.start_offset, stmt.span.end_offset))
+    if _already_wrapped(stmt, mutex):
+        patch.notes.append("already wrapped; no edits")
+        return patch, None
+    text = stmt.root().text
+    return patch, (text, indent_unit(text), _line_indent(text, stmt.span.start_offset),
+                   handle.identifier.span.start.column)
+
+
 def fix_plain(handle: StatementHandle, mutex: MutexPlan) -> Patch:
     """Lock/unlock wrapped around one statement."""
     stmt = handle.node
-    escape = _contains_escape(stmt)
-    if escape is not None:
-        raise UnsupportedControlFlow(
-            f"statement contains '{escape}'; an unlock after it would be skipped"
-        )
-    patch = Patch(None, TEMPLATE_PLAIN, mutex,
-                  region=(stmt.span.start_offset, stmt.span.end_offset))
-    if _already_wrapped(stmt, mutex):
-        patch.notes.append("already wrapped; no edits")
+    _refuse_escape(stmt, "statement", "an unlock after it would be skipped")
+    patch, layout = _begin(handle, mutex, TEMPLATE_PLAIN, stmt)
+    if layout is None:
         return patch
-    text = stmt.root().text
-    col = handle.identifier.span.start.column
+    text, _, _, col = layout
     patch.edits.append(_lock_before(text, stmt, mutex, col))
     patch.edits.append(_unlock_after(text, stmt, mutex, col))
     return patch
@@ -310,42 +362,13 @@ def fix_plain(handle: StatementHandle, mutex: MutexPlan) -> Patch:
 
 def _fix_if(handle: StatementHandle, mutex: MutexPlan, template: str) -> Patch:
     ifnode = handle.node
-    patch = Patch(None, template, mutex,
-                  region=(ifnode.span.start_offset, ifnode.span.end_offset))
-    if _already_wrapped(ifnode, mutex):
-        patch.notes.append("already wrapped; no edits")
+    patch, layout = _begin(handle, mutex, template, ifnode)
+    if layout is None:
         return patch
-    text = ifnode.root().text
-    unit = indent_unit(text)
-    ind = _line_indent(text, ifnode.span.start_offset)
-    body_ind = ind + unit
-    col = handle.identifier.span.start.column
-
+    text, unit, ind, col = layout
     patch.edits.append(_lock_before(text, ifnode, mutex, col))
-    patch.edits.extend(_branch_entry_unlock(text, ifnode.then, mutex, ind, unit, col))
-    if ifnode.els is not None:
-        patch.edits.extend(_branch_entry_unlock(text, ifnode.els, mutex, ind, unit, col))
-    else:
-        _synthesize_else(patch, text, ifnode, mutex, ind, body_ind, col)
+    _unlock_both_arms(patch, text, ifnode, ind, unit, col)
     return patch
-
-
-def _synthesize_else(patch: Patch, text: str, ifnode: CstNode, mutex: MutexPlan,
-                     ind: str, body_ind: str, col: int) -> None:
-    """Append an else branch whose only job is to release the lock."""
-    synth = f" else {{\n{body_ind}{UNLOCK_MARKER}\n{body_ind}{mutex.unlock_call}\n{ind}}}"
-    if ifnode.then.kind == COMPOUND_STMT:
-        pos = ifnode.then.rbrace.end
-        patch.edits.append(TextEdit(pos, pos, synth, kind="else_synth",
-                                    mutex=mutex.mutex_name, anchor=pos, order_col=col))
-    else:
-        # The then branch was just braced by _branch_entry_unlock; fold its
-        # closing brace and the new else into one insertion.
-        close = patch.edits.pop()
-        assert close.kind == "brace"
-        patch.edits.append(TextEdit(close.start, close.end, f"\n{ind}}}" + synth,
-                                    kind="else_synth", mutex=mutex.mutex_name,
-                                    anchor=close.start, order_col=col))
 
 
 def fix_if_with_else(handle: StatementHandle, mutex: MutexPlan) -> Patch:
@@ -379,15 +402,10 @@ def fix_else_if(handle: StatementHandle, mutex: MutexPlan) -> Patch:
         raise UnsupportedControlFlow("else-if chain sits in an unbraced context")
 
     # the whole chain is the restructured region, head through racy link
-    patch = Patch(None, TEMPLATE_ELSE_IF, mutex,
-                  region=(head.span.start_offset, head.span.end_offset))
-    if _already_wrapped(head, mutex):
-        patch.notes.append("already wrapped; no edits")
+    patch, layout = _begin(handle, mutex, TEMPLATE_ELSE_IF, head)
+    if layout is None:
         return patch
-
-    text = racy.root().text
-    ind = _line_indent(text, head.span.start_offset)
-    col = handle.identifier.span.start.column
+    text, unit, ind, col = layout
 
     if _starts_its_line(text, head.span.start_offset):
         pos = _line_start(text, head.span.start_offset)
@@ -406,14 +424,7 @@ def fix_else_if(handle: StatementHandle, mutex: MutexPlan) -> Patch:
     patch.edits.append(TextEdit(if_tok.offset, if_tok.offset, lead,
                                 kind="lock", mutex=mutex.mutex_name,
                                 anchor=if_tok.offset, order_col=col))
-
-    unit = indent_unit(text)
-    body_ind = ind + unit
-    patch.edits.extend(_branch_entry_unlock(text, racy.then, mutex, ind, unit, col))
-    if racy.els is not None:
-        patch.edits.extend(_branch_entry_unlock(text, racy.els, mutex, ind, unit, col))
-    else:
-        _synthesize_else(patch, text, racy, mutex, ind, body_ind, col)
+    _unlock_both_arms(patch, text, racy, ind, unit, col)
     patch.notes.append(SEMANTICS_CHANGED)
     return patch
 
@@ -426,57 +437,29 @@ def fix_while(handle: StatementHandle, mutex: MutexPlan) -> Patch:
     exactly while the condition is evaluated.
     """
     w = handle.node
-    escape = _contains_escape(w.body)
-    if escape is not None:
-        raise UnsupportedControlFlow(
-            f"loop body contains '{escape}'; the lock state would not balance"
-        )
-    patch = Patch(None, TEMPLATE_WHILE, mutex,
-                  region=(w.span.start_offset, w.span.end_offset))
-    if _already_wrapped(w, mutex):
-        patch.notes.append("already wrapped; no edits")
+    _refuse_escape(w.body, "loop body", "the lock state would not balance")
+    patch, layout = _begin(handle, mutex, TEMPLATE_WHILE, w)
+    if layout is None:
         return patch
-
-    text = w.root().text
-    unit = indent_unit(text)
-    ind = _line_indent(text, w.span.start_offset)
+    text, unit, ind, col = layout
     body_ind = ind + unit
-    col = handle.identifier.span.start.column
-    body = w.body
+    relock = f"{body_ind}{LOCK_MARKER}\n{body_ind}{mutex.lock_call}"
 
     patch.edits.append(_lock_before(text, w, mutex, col))
-    if body.kind == COMPOUND_STMT:
-        pos = body.lbrace.end
-        patch.edits.append(TextEdit(
-            pos, pos, f"\n{body_ind}{UNLOCK_MARKER}\n{body_ind}{mutex.unlock_call}",
-            kind="unlock", mutex=mutex.mutex_name, anchor=pos, order_col=col))
-        rb = body.rbrace
-        if _starts_its_line(text, rb.offset):
-            pos = _line_start(text, rb.offset)
-            block = f"{body_ind}{LOCK_MARKER}\n{body_ind}{mutex.lock_call}\n"
-        else:
-            pos = rb.offset
-            block = f"\n{body_ind}{LOCK_MARKER}\n{body_ind}{mutex.lock_call}\n{ind}"
-        patch.edits.append(TextEdit(pos, pos, block, kind="lock",
-                                    mutex=mutex.mutex_name, anchor=rb.offset,
-                                    order_col=col))
-        patch.edits.append(_unlock_after(text, w, mutex, col))
+    patch.edits.extend(_branch_entry_unlock(text, w.body, mutex, ind, unit, col))
+    if w.body.kind != COMPOUND_STMT:
+        # relock and the unlock after the loop share the new closing brace's offset
+        _refold_close(patch, f"\n{relock}", f"\n{ind}{UNLOCK_MARKER}\n{ind}{mutex.unlock_call}",
+                      "brace_lock_unlock", col)
+        return patch
+    rb = w.body.rbrace
+    if _starts_its_line(text, rb.offset):
+        pos, block = _line_start(text, rb.offset), f"{relock}\n"
     else:
-        open_block = (
-            f"{{\n{body_ind}{UNLOCK_MARKER}\n{body_ind}{mutex.unlock_call}\n{body_ind}"
-        )
-        patch.edits.append(TextEdit(body.span.start_offset, body.span.start_offset,
-                                    open_block, kind="brace_unlock",
-                                    mutex=mutex.mutex_name,
-                                    anchor=body.span.start_offset, order_col=col))
-        close_block = (
-            f"\n{body_ind}{LOCK_MARKER}\n{body_ind}{mutex.lock_call}\n{ind}}}"
-            f"\n{ind}{UNLOCK_MARKER}\n{ind}{mutex.unlock_call}"
-        )
-        patch.edits.append(TextEdit(body.span.end_offset, body.span.end_offset,
-                                    close_block, kind="brace_lock_unlock",
-                                    mutex=mutex.mutex_name,
-                                    anchor=body.span.end_offset, order_col=col))
+        pos, block = rb.offset, f"\n{relock}\n{ind}"
+    patch.edits.append(TextEdit(pos, pos, block, kind="lock", mutex=mutex.mutex_name,
+                                anchor=rb.offset, order_col=col))
+    patch.edits.append(_unlock_after(text, w, mutex, col))
     return patch
 
 
@@ -558,7 +541,7 @@ def coalesce(patches: list[Patch], text: str) -> CoalesceResult:
     decls: dict[str, TextEdit] = {}
     for patch in accepted:
         plan = patch.mutex
-        if not plan.already_declared and plan.decl_insertion is not None:
+        if plan.decl_insertion is not None:
             decls.setdefault(plan.mutex_name, plan.decl_insertion)
 
     edits = list(decls.values())

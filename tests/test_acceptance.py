@@ -6,21 +6,11 @@ line per criterion.
 
 import functools
 
-from racefixer import (
-    FixConfig,
-    SourceCoord,
-    emit,
-    explore,
-    fix_else_if,
-    fix_if_with_else,
-    fix_if_without_else,
-    fix_while,
-    format_summary,
-    parse_report,
-    parse_source,
-    run,
-)
+from racefixer import FixConfig, explore, parse_report, parse_source, run
+from racefixer.cst import emit
 from racefixer.driver import STATUS_CLEAN, STATUS_DEADLOCK
+from racefixer.reports import SourceCoord, format_summary
+from racefixer.transform import fix_else_if, fix_if_with_else, fix_if_without_else, fix_while
 
 from conftest import RACY_PROGRAMS, corpus, corpus_files, fixture
 from genprog import generate
@@ -125,7 +115,7 @@ def test_criterion_5_oracle_equivalence():
 
 @criterion(6, "lockset false-positive pedagogy")
 def test_criterion_6_lockset_pedagogy():
-    from racefixer import hybrid_verdict
+    from racefixer.detector import hybrid_verdict
 
     demonstrated = False
     for name in ("lockset_single.c", "lockset_join.c"):

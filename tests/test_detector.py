@@ -5,28 +5,22 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from racefixer import (
+from racefixer import UnsupportedConstruct, explore, parse_report, parse_source
+from racefixer.detector import (
     AccessRecord,
-    SourceCoord,
-    UnsupportedConstruct,
+    LocksetState,
     VectorClock,
-    explore,
-    format_summary,
     hb_check,
     hybrid_verdict,
     lockset_check,
-    parse_report,
-    parse_source,
     render_tsan_log,
-)
-from racefixer.detector import (
-    LocksetState,
     replay,
     sync_create,
     sync_join,
     sync_lock,
     sync_unlock,
 )
+from racefixer.reports import SourceCoord, format_summary
 
 from conftest import corpus, within_seconds
 from oracle import all_races
@@ -405,7 +399,20 @@ class TestResourceLimits:
         assert verdict.deadlocks  # main can never take the leaked mutex
 
 
+# One name declared as an int and as a mutex, which C rejects.
+GLOBAL_AND_MUTEX = (
+    "int M;\n"
+    "pthread_mutex_t M = PTHREAD_MUTEX_INITIALIZER;\n"
+    "void *W(void *x) { pthread_mutex_lock(&M); M = 1; pthread_mutex_unlock(&M); return 0; }\n"
+    "int main() { pthread_t t; pthread_create(&t, 0, W, 0); M = 2; pthread_join(t, 0); return M; }\n"
+)
+
+
 class TestModelValidation:
+    def test_name_declared_as_global_and_mutex_rejected(self):
+        with pytest.raises(UnsupportedConstruct, match="'M' is declared both"):
+            explore(parse_source(GLOBAL_AND_MUTEX))
+
     def test_non_constant_global_initializer_rejected(self):
         source = "int a;\nint b = a;\nint main() { return 0; }\n"
         with pytest.raises(UnsupportedConstruct):

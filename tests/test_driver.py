@@ -2,9 +2,10 @@
 
 import pytest
 
-from racefixer import FixConfig, SourceCoord, explore, parse_source, render_diff, run
+from racefixer import FixConfig, explore, parse_source, run
 from racefixer.cli import main as cli_main
-from racefixer.driver import STATUS_CLEAN, STATUS_DEADLOCK, STATUS_NOTHING
+from racefixer.driver import STATUS_CLEAN, STATUS_DEADLOCK, STATUS_NOTHING, render_diff
+from racefixer.reports import SourceCoord
 
 from conftest import FIXTURES_DIR, corpus, within_seconds
 
@@ -92,7 +93,7 @@ class TestRunReportMode:
         source = tmp_path / "race.c"
         source.write_text(corpus("race_plain.c"))
         verdict = explore(parse_source(corpus("race_plain.c")))
-        from racefixer import render_tsan_log
+        from racefixer.detector import render_tsan_log
 
         log = tmp_path / "tsan.log"
         log.write_text(render_tsan_log(verdict.hb_races, "race.c"))
@@ -121,6 +122,56 @@ class TestRunReportMode:
         assert report.final_text == corpus("race_plain.c")
         (race, reason), = report.iterations[0].skipped
         assert "no reference" in reason
+
+    STALE_BLOCK = (
+        "WARNING: ThreadSanitizer: data race (pid=1)\n"
+        "  Write of size 4 at 0x01 by thread T1:\n"
+        "    #0 f prog.c:99:1 (a.out+0x1)\n"
+        "  Previous write of size 4 at 0x01 by main thread:\n"
+        "    #0 main prog.c:98:1 (a.out+0x2)\n"
+        "  Location is global 'Global' of size 4 at 0x01 (a.out+0x01)\n"
+    )
+
+    def _report_run(self, tmp_path, stale: bool = False, **options):
+        from racefixer.detector import render_tsan_log
+
+        source = tmp_path / "prog.c"
+        source.write_text(corpus("race_plain.c"))
+        verdict = explore(parse_source(corpus("race_plain.c")))
+        log = tmp_path / "tsan.log"
+        log.write_text(render_tsan_log(verdict.hb_races, "prog.c")
+                       + (self.STALE_BLOCK if stale else ""))
+        return run(FixConfig(source=str(source), detector="report",
+                             reports=(str(log),), **options))
+
+    def test_report_mode_log_clean(self, tmp_path):
+        report = self._report_run(tmp_path)
+        assert report.log_lines() == [
+            "iteration=1 races=1 fixed=2 skipped=0",
+            "iteration=2 races=0 fixed=0 skipped=0",
+            "status=Clean",
+        ]
+        assert report.status == STATUS_CLEAN
+
+    def test_report_mode_log_iteration_cap(self, tmp_path):
+        report = self._report_run(tmp_path, max_iterations=1)
+        assert report.log_lines() == [
+            "iteration=1 races=1 fixed=2 skipped=0",
+            "status=IterationCapReached",
+        ]
+        assert report.status == "IterationCapReached"
+        assert "pthread_mutex_lock(&__rf_mutex_Global);" in report.final_text
+
+    def test_report_mode_log_stale_race_keeps_patch(self, tmp_path):
+        report = self._report_run(tmp_path, stale=True)
+        assert report.log_lines() == [
+            "iteration=1 races=2 fixed=2 skipped=1",
+            "status=NothingFixable",
+        ]
+        assert report.status == STATUS_NOTHING
+        assert report.final_text.count("pthread_mutex_lock(&__rf_mutex_Global);") == 2
+        (race, reason), = report.iterations[0].skipped
+        assert race.first.line == 98 and "no reference" in reason
 
     def test_report_mode_requires_reports(self):
         with pytest.raises(ValueError):
@@ -242,6 +293,17 @@ class TestCli:
         assert cli_main(["fix", str(bad)]) == 3
         assert "2:5: 'break' outside a loop" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fix", "detect"])
+    def test_name_declared_as_global_and_mutex_exit_three(self, tmp_path, capsys, command):
+        from test_detector import GLOBAL_AND_MUTEX
+
+        bad = tmp_path / "clash.c"
+        bad.write_text(GLOBAL_AND_MUTEX)
+        assert cli_main([command, str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert "'M' is declared both as an int and as a mutex" in captured.err
+        assert "status=" not in captured.out
+
     def test_detect_prints_summary(self, tmp_source, capsys):
         path = tmp_source("race_plain.c")
         code = cli_main(["detect", str(path)])
@@ -319,7 +381,7 @@ class TestCli:
 
 
 def format_race_lines(result) -> list[str]:
-    from racefixer import format_summary
+    from racefixer.reports import format_summary
 
     return format_summary(result.races).splitlines()
 

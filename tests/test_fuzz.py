@@ -6,7 +6,9 @@ longer soak.
 
 import pytest
 
-from racefixer import FixConfig, check_lock_balance, emit, explore, parse_source, run
+from racefixer import FixConfig, explore, parse_source, run
+from racefixer.cst import emit
+from racefixer.transform import check_lock_balance
 from racefixer.driver import STATUS_CLEAN, STATUS_DEADLOCK
 
 from genconc import generate_concurrent

@@ -3,14 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from racefixer import (
-    DataRace,
-    RaceSet,
-    SourceCoord,
-    format_summary,
-    merge_runs,
-    parse_report,
-)
+from racefixer import parse_report
+from racefixer.reports import DataRace, RaceSet, SourceCoord, format_summary, merge_runs
 
 from conftest import fixture
 

@@ -2,25 +2,23 @@
 
 import pytest
 
-from racefixer import (
-    SourceCoord,
+from racefixer import explore, parse_source
+from racefixer.cst import apply_edits, emit, locate
+from racefixer.reports import SourceCoord
+from racefixer.transform import (
+    LOCK_MARKER,
+    UNLOCK_MARKER,
     UnknownVariable,
     UnsupportedControlFlow,
-    apply_edits,
     check_lock_balance,
     coalesce,
-    emit,
-    explore,
     fix_else_if,
     fix_if_with_else,
     fix_if_without_else,
     fix_plain,
     fix_while,
-    locate,
-    parse_source,
     plan_mutex,
 )
-from racefixer.transform import LOCK_MARKER, UNLOCK_MARKER
 
 from conftest import corpus
 
@@ -51,7 +49,7 @@ class TestPlanMutex:
         tree = parse_source(source)
         plan = plan_mutex("Global", tree)
         assert plan.mutex_name == "__rf_mutex_Global"
-        assert not plan.already_declared
+        assert plan.decl_insertion is not None
         patched = apply_edits(source, [plan.decl_insertion])
         lines = patched.splitlines()
         assert lines[0] == "int Global;"
@@ -62,7 +60,6 @@ class TestPlanMutex:
         tree = parse_source(source)
         patched = apply_edits(source, [plan_mutex("Global", tree).decl_insertion])
         plan = plan_mutex("Global", parse_source(patched))
-        assert plan.already_declared
         assert plan.decl_insertion is None
 
     def test_unknown_variable(self):
@@ -493,7 +490,7 @@ def test_engine_is_idempotent_on_its_own_output():
         patched = apply_fix(source, "RACE", coord, fixer)
         tree = parse_source(patched)
         plan = plan_mutex("RACE", tree)
-        assert plan.already_declared
+        assert plan.decl_insertion is None
         fn = tree.child_nodes()[-1]
         node = next(n for n in fn.walk() if n.kind == kind)
         ident = next(n for n in node.cond.walk() if n.kind == "Identifier")
