@@ -16,8 +16,10 @@ reduced schedules.  ``reduction="none"`` branches at every operation and
 is kept as the test oracle for the reduction.  Along each schedule the
 detector keeps:
 
-* vector clocks, advanced over lock/unlock/create/join edges, for the
-  precise happens-before race check;
+* a vector clock per thread, advanced over lock/unlock/create/join
+  edges, for the precise happens-before race check: a prior access races
+  unless the current thread has seen the prior's own clock component
+  (FastTrack's epoch test);
 * a per-variable lockset intersection (the classic locking-discipline
   check, kept deliberately simple, false positives and all);
 * the set of stuck states, where some thread is unfinished but nothing
@@ -30,10 +32,11 @@ state for undoing, and starts the next schedule from the deepest saved
 decision instead of from the beginning.  Its own bookkeeping (clocks and
 the latest operation on each object) is rolled back with that state, so
 a schedule costs only the steps it does not share with the previous
-one, and ``explore`` reads only the results those steps add.  A
-schedule is still just the list of thread choices taken at each
-decision point, and ``replay`` re-runs a prefix exactly from the initial
-state.
+one, and ``explore`` reads only the results those steps add.  Both
+kinds of clock, the race check's and DPOR's, are tuples of
+``MAX_THREADS`` counts, so saving one is sharing it.  A schedule is
+still just the list of thread choices taken at each decision point, and
+``replay`` re-runs a prefix exactly from the initial state.
 """
 
 from __future__ import annotations
@@ -55,64 +58,21 @@ class UnsupportedConstruct(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Vector clocks and synchronization edges
+# Vector clocks
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class VectorClock:
-    """Per-thread logical counters; missing components read as zero."""
-
-    counts: tuple[int, ...] = ()
-
-    def tick(self, tid: int) -> "VectorClock":
-        counts = self.counts
-        if tid < len(counts):
-            return VectorClock(counts[:tid] + (counts[tid] + 1,) + counts[tid + 1:])
-        return VectorClock(counts + (0,) * (tid - len(counts)) + (1,))
-
-    def join(self, other: "VectorClock") -> "VectorClock":
-        a, b = self.counts, other.counts
-        if len(a) < len(b):
-            a, b = b, a
-        return VectorClock(tuple(map(max, a, b)) + a[len(b):])
-
-    def leq(self, other: "VectorClock") -> bool:
-        # counts are never negative, so only a nonzero count past the end
-        # of `other` can exceed its missing zeros
-        a, b = self.counts, other.counts
-        return all(map(operator.le, a, b)) and not any(a[len(b):])
-
-    def concurrent_with(self, other: "VectorClock") -> bool:
-        return not self.leq(other) and not other.leq(self)
+# A clock is a tuple of MAX_THREADS counts, one per thread id.
+_ZERO = (0,) * MAX_THREADS
 
 
-def sync_lock(acquirer: VectorClock, tid: int, mutex_clock: VectorClock) -> VectorClock:
-    """Acquiring joins the mutex's published clock, then ticks."""
-    return acquirer.join(mutex_clock).tick(tid)
+def _join(a: tuple, b: tuple) -> tuple:
+    """Componentwise max: everything either clock has seen."""
+    return tuple(map(max, a, b))
 
 
-def sync_unlock(releaser: VectorClock, tid: int) -> tuple[VectorClock, VectorClock]:
-    """Release publishes the current clock, then ticks.
-
-    Returns (clock published to the mutex, releaser's clock afterwards).
-    """
-    return releaser, releaser.tick(tid)
-
-
-def sync_create(parent: VectorClock, parent_tid: int, child_tid: int) -> tuple[VectorClock, VectorClock]:
-    """Creation hands the parent's clock to the child; each side ticks.
-
-    Returns (child's starting clock, parent's clock afterwards).  The
-    child's own component starts at one so its very first access is
-    already distinguishable from the parent's later work.
-    """
-    return parent.tick(child_tid), parent.tick(parent_tid)
-
-
-def sync_join(parent: VectorClock, tid: int, child_final: VectorClock) -> VectorClock:
-    """Joining folds the finished child's whole history into the parent."""
-    return parent.join(child_final).tick(tid)
+def _with(clock: tuple, tid: int, count: int) -> tuple:
+    """`clock` with thread `tid`'s own component set to `count`."""
+    return clock[:tid] + (count,) + clock[tid + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +85,7 @@ class AccessRecord:
     variable: str
     kind: str  # "read" | "write"
     thread: int
-    clock: VectorClock
+    clock: tuple
     lockset: frozenset
     coord: SourceCoord
     function: str
@@ -192,14 +152,23 @@ class Verdict:
 
 
 def hb_check(current: AccessRecord, history) -> list[DetectedRace]:
-    """Races between `current` and prior accesses with incomparable clocks."""
+    """Races between `current` and the prior accesses that do not happen
+    before it.
+
+    A prior access of thread t happens before `current` iff `current` has
+    seen t's clock at least up to the prior's own component: FastTrack's
+    epoch test (Flanagan & Freund, PLDI 2009).  Every prior access ran
+    earlier in the schedule, so `current` never happens before it.
+    """
     races = []
+    clock = current.clock
     for prior in history:
-        if prior.thread == current.thread:
+        tid = prior.thread
+        if tid == current.thread:
             continue
         if prior.kind == "read" and current.kind == "read":
             continue
-        if current.clock.concurrent_with(prior.clock):
+        if prior.clock[tid] > clock[tid]:
             races.append(DetectedRace(current.variable, current, prior))
     return races
 
@@ -371,9 +340,11 @@ class _Compiler:
     operation.  ``("lock", mutex, coord, op)``, ``("unlock", mutex, coord,
     op)``, ``("create", function, coord, handle, op)`` and ``("join",
     handle, coord)`` are always shared.  `op` is what the scheduler sees of
-    the operation, (kind, object, conflict key); see `_Step`.  Shapes the
-    interpreter cannot run compile to a fault at the point where they
-    would run, so a schedule that never reaches them is unaffected.
+    the operation, (kind, object, conflict key); see `_Step`.  A join's op
+    needs the thread id its handle holds, so it is made when the join
+    becomes pending.  Shapes the interpreter cannot run compile to a fault
+    at the point where they would run, so a schedule that never reaches
+    them is unaffected.
     """
 
     def __init__(self, mutexes: frozenset, functions: dict):
@@ -570,8 +541,8 @@ class _Step:
 
     DPOR also keeps the threads still to try from here (`backtrack`),
     those that need not be (`sleep`, tid -> triple), what restores the
-    state before this step (`saved`), and the vector clock of the event
-    once it has been ordered (`clock`, see `_Dpor`)."""
+    state before this step (`saved`), and the clock of the event once it
+    has been ordered (`clock`, see `_Dpor`)."""
 
     __slots__ = ("enabled", "choice", "pending", "backtrack", "sleep", "saved", "clock")
 
@@ -592,17 +563,18 @@ class _Step:
 class _Thread:
     """One thread: where it is in its function's code, its operand stack
     and variables, and its scheduling state.  `pending` is the shared
-    operation it waits to run, None once it has finished, and `op` what
-    the scheduler sees of it.  `dpor` and `since` are DPOR's clock for the
-    thread and the step at which its operation became pending; `dpor` is
-    None until DPOR has started or ordered the step that created the
-    thread.
+    operation it waits to run, None once it has finished; its last item
+    is what the scheduler sees of it, (kind, object, conflict key).
+    `clock` orders its accesses for the race check.  `dpor` and `since`
+    are DPOR's clock for the thread and the step at which its operation
+    became pending; `dpor` is None until DPOR has started or ordered the
+    step that created the thread.
     `saved` caches `save()` until the thread next changes."""
 
     __slots__ = ("tid", "function", "code", "pc", "stack", "env", "clock", "held",
-                 "pending", "op", "steps", "self_blocked", "dpor", "since", "saved")
+                 "pending", "steps", "self_blocked", "dpor", "since", "saved")
 
-    def __init__(self, tid: int, function: str, code: list, clock: VectorClock):
+    def __init__(self, tid: int, function: str, code: list, clock: tuple):
         self.tid = tid
         self.function = function
         self.code = code
@@ -612,22 +584,20 @@ class _Thread:
         self.clock = clock
         self.held = frozenset()
         self.pending: tuple | None = None
-        self.op: tuple | None = None
         self.steps = 0
         self.self_blocked = False
-        self.dpor: list | None = None
+        self.dpor: tuple | None = None
         self.since = 0
         self.saved = None
 
     def save(self) -> tuple:
         if self.saved is None:
             self.saved = (self.pc, tuple(self.stack), self.env.copy(), self.clock, self.held,
-                          self.pending, self.op, self.steps, self.self_blocked, self.dpor,
-                          self.since)
+                          self.pending, self.steps, self.self_blocked, self.dpor, self.since)
         return self.saved
 
     def restore(self, saved: tuple) -> None:
-        (self.pc, stack, env, self.clock, self.held, self.pending, self.op,
+        (self.pc, stack, env, self.clock, self.held, self.pending,
          self.steps, self.self_blocked, self.dpor, self.since) = saved
         self.stack = list(stack)
         self.env = env.copy()
@@ -660,7 +630,7 @@ class _Run:
 
         self.globals_ = dict(model.globals_)
         self.mutex_owner = dict.fromkeys(model.mutexes)
-        self.mutex_clock = dict.fromkeys(model.mutexes, VectorClock())
+        self.mutex_clock = dict.fromkeys(model.mutexes, _ZERO)
         self.threads: list[_Thread] = []
         # Full access history per variable.  A last-access-per-thread
         # frontier looks sufficient but misses racy coordinate pairs when
@@ -680,7 +650,7 @@ class _Run:
         self.aborted = False
         self.budget_exceeded = False
 
-        main = _Thread(0, "main", model.functions["main"], VectorClock())
+        main = _Thread(0, "main", model.functions["main"], _ZERO)
         self.threads.append(main)
         self._advance(main)
 
@@ -742,7 +712,6 @@ class _Run:
                         stack.append(env[ins[1]])
                     elif ins[1] in globals_:
                         thread.pending = ins
-                        thread.op = ins[-1]
                         break
                     else:
                         raise _ProgramFault(f"unknown identifier '{ins[1]}'")
@@ -752,8 +721,7 @@ class _Run:
                     if ins[1] in env:
                         env[ins[1]] = stack[-1]
                     elif ins[1] in globals_:
-                        thread.pending = ("write", ins[1], stack[-1], ins[2])
-                        thread.op = ins[-1]
+                        thread.pending = ("write", ins[1], stack[-1], ins[2], ins[3])
                         break
                     else:
                         raise _ProgramFault(f"unknown identifier '{ins[1]}'")
@@ -783,8 +751,7 @@ class _Run:
                         raise _ProgramFault(f"'{ins[1]}' is not a declared pthread_t")
                 elif op == "join":
                     target = env[ins[1]]
-                    thread.pending = ("join", target, ins[2])
-                    thread.op = ("join", target, None)
+                    thread.pending = ("join", target, ins[2], ("join", target, None))
                     break
                 elif op == "return":
                     thread.pending = None
@@ -796,7 +763,6 @@ class _Run:
                     raise _ProgramFault(ins[1])
                 else:  # lock, unlock, create
                     thread.pending = ins
-                    thread.op = ins[-1]
                     break
         except _ProgramFault as fault:
             self._diag("error", f"thread {thread.tid}: {fault}")
@@ -858,7 +824,7 @@ class _Run:
             self._advance(thread, self.globals_[var])
             return
         if op == "write":
-            _, var, value, coord = intent
+            _, var, value, coord, _ = intent
             self._note_access(AccessRecord(var, "write", thread.tid, thread.clock,
                                            thread.held, coord, thread.function))
             self.trail.append((dict.__setitem__, self.globals_, var, self.globals_[var]))
@@ -871,7 +837,9 @@ class _Run:
             self.trail.append((dict.__setitem__, self.mutex_owner, mutex, None))
             self.mutex_owner[mutex] = thread.tid
             thread.held = thread.held | {mutex}
-            thread.clock = sync_lock(thread.clock, thread.tid, self.mutex_clock[mutex])
+            # acquire: join the clock the last release published, then tick
+            clock = _join(thread.clock, self.mutex_clock[mutex])
+            thread.clock = _with(clock, thread.tid, clock[thread.tid] + 1)
             self._trace(("lock", thread.tid, mutex, coord))
             self._advance(thread, 0)
             return
@@ -884,14 +852,14 @@ class _Run:
                 )
                 self.aborted = True
                 return
-            published, after = sync_unlock(thread.clock, thread.tid)
             self.trail.append((dict.__setitem__, self.mutex_owner, mutex, thread.tid))
             self.trail.append((dict.__setitem__, self.mutex_clock, mutex,
                                self.mutex_clock[mutex]))
-            self.mutex_clock[mutex] = published
             self.mutex_owner[mutex] = None
             thread.held = thread.held - {mutex}
-            thread.clock = after
+            # release: publish the clock, then tick
+            clock = self.mutex_clock[mutex] = thread.clock
+            thread.clock = _with(clock, thread.tid, clock[thread.tid] + 1)
             self._trace(("unlock", thread.tid, mutex, coord))
             self._advance(thread, 0)
             return
@@ -902,9 +870,12 @@ class _Run:
                 self.aborted = True
                 return
             child_tid = len(self.threads)
-            child_clock, parent_clock = sync_create(thread.clock, thread.tid, child_tid)
-            thread.clock = parent_clock
-            child = _Thread(child_tid, target, self.model.functions[target], child_clock)
+            # the child starts from the parent's clock, its own component at
+            # one; the parent ticks, so its later work is not ordered before
+            clock = thread.clock
+            thread.clock = _with(clock, thread.tid, clock[thread.tid] + 1)
+            child = _Thread(child_tid, target, self.model.functions[target],
+                            _with(clock, child_tid, 1))
             self.threads.append(child)
             self._advance(child)
             self._trace(("create", thread.tid, child_tid, coord))
@@ -912,12 +883,14 @@ class _Run:
             self._advance(thread, 0)
             return
         if op == "join":
-            _, target, coord = intent
+            _, target, coord, _ = intent
             if not (isinstance(target, int) and 0 <= target < len(self.threads)):
                 self._diag("error", f"thread {thread.tid} joins an invalid handle")
                 self.aborted = True
                 return
-            thread.clock = sync_join(thread.clock, thread.tid, self.threads[target].clock)
+            # fold the finished child's whole history in, then tick
+            clock = _join(thread.clock, self.threads[target].clock)
+            thread.clock = _with(clock, thread.tid, clock[thread.tid] + 1)
             self._trace(("join", thread.tid, target, coord))
             self._advance(thread, 0)
             return
@@ -935,7 +908,7 @@ class _Run:
             enabled = []
             for t in self.threads:
                 if t.pending is not None:
-                    pending[t.tid] = t.op
+                    pending[t.tid] = t.pending[-1]
                     if self._enabled(t):
                         enabled.append(t.tid)
             if not pending:
@@ -1019,12 +992,12 @@ class _Dpor:
     the earlier step; the thread itself if it was enabled there, else
     every enabled thread.
 
-    A clock is a list over thread ids whose entry u is one more than the
-    index of the latest step of thread u that happens before.  The search
-    state lives where the run's restore rolls it back: each thread's clock
-    and pending-since step on `_Thread`, each event's clock on its
-    `_Step`, and `last` (conflict key -> index of the latest step on it),
-    whose changes are undone through the run's trail.
+    A clock's entry u is one more than the index of the latest step of
+    thread u that happens before.  The search state lives where the run's
+    restore rolls it back: each thread's clock and pending-since step on
+    `_Thread`, each event's clock on its `_Step`, and `last` (conflict key
+    -> index of the latest step on it), whose changes are undone through
+    the run's trail.
 
     After each run the state is restored to the deepest step with a
     backtrack thread left to try and not asleep, and goes on from there
@@ -1042,7 +1015,7 @@ class _Dpor:
             return step
         sleep = {}
         if not run.path:
-            run.threads[0].dpor = [0] * MAX_THREADS
+            run.threads[0].dpor = _ZERO
         else:
             parent = run.path[-1]
             self._order(run, len(run.path) - 1)
@@ -1095,17 +1068,14 @@ class _Dpor:
                     _reverse(step, other)
             i = last.get(key)
             if i is not None:
-                clock = list(map(max, clock, path[i].clock))
+                clock = _join(clock, path[i].clock)
             # unbound methods: a bound one in every entry would add to the peak
             run.trail.append((dict.__setitem__, last, key, i) if i is not None
                              else (dict.pop, last, key))
             last[key] = k
         elif kind == "join" and 0 <= target < len(run.threads):
-            clock = list(map(max, clock, run.threads[target].dpor))
-        if clock is thread.dpor:
-            clock = clock[:]
-        clock[tid] = k + 1
-        step.clock = thread.dpor = clock
+            clock = _join(clock, run.threads[target].dpor)
+        step.clock = thread.dpor = clock = _with(clock, tid, k + 1)
         if kind == "create":
             child = run.threads[-1]
             if child.dpor is None:  # else the thread limit stopped the create
@@ -1118,7 +1088,7 @@ class _Dpor:
     def _pend(self, run: _Run, thread: _Thread, state: int) -> None:
         """`thread`'s operation became pending at `state`."""
         thread.since = state
-        i = self.last.get(thread.op[2])
+        i = self.last.get(thread.pending[-1][2])
         if i is not None:
             step = run.path[i]
             if thread.dpor[step.choice] <= i:
@@ -1146,8 +1116,11 @@ def explore(
     dependent operations are explored; ``"none"`` branches at every
     shared-variable access and synchronization operation and serves as
     the oracle the reduction is tested against.  Results are aggregated
-    across schedules and deduplicated.
+    across schedules and deduplicated.  A `bound` below one is a
+    ValueError.
     """
+    if bound < 1:
+        raise ValueError(f"bound must be at least 1, not {bound}")
     if reduction == "dpor":
         search = _Dpor()
     elif reduction == "none":

@@ -3,6 +3,8 @@
 * `_fix_builtin` detects, patches and re-detects until the program is
   clean, nothing could be fixed, or the iteration cap.  A deadlock on one
   of our synthesized guards rolls the iteration back (DeadlockIntroduced).
+  A last check without races ends Clean, or NothingFixable if the program
+  can deadlock on its own mutexes, whether or not the cap was reached.
 * `_fix_from_reports` patches the races of the report files once: their
   coordinates describe the unpatched file.  It then logs an empty second
   iteration and ends Clean, unless a race could not be acted on
@@ -227,19 +229,11 @@ def _fix_builtin(config: FixConfig, text: str, source_name: str, report: FixRepo
     races, verdict, advisories = _detect(tree, config, source_name)
     report.diagnostics.extend(advisories)
 
+    report.status = STATUS_CAP
     for index in range(1, config.max_iterations + 1):
         record = IterationRecord(index, races)
         report.iterations.append(record)
         if not races:
-            if verdict.deadlocks:
-                report.diagnostics.append(Diagnostic(
-                    "warning",
-                    "no races, but the program can deadlock on its own mutexes; "
-                    "nothing for the race fixer to do",
-                ))
-                report.status = STATUS_NOTHING
-            else:
-                report.status = STATUS_CLEAN
             break
 
         patched = _patch_round(tree, text, races, record, report.diagnostics)
@@ -258,9 +252,18 @@ def _fix_builtin(config: FixConfig, text: str, source_name: str, report: FixRepo
             break  # text deliberately not updated: rollback
         report.diagnostics.extend(advisories)
         text, tree = patched
-    else:
-        # Cap reached; the last verification may still have come back clean.
-        report.status = STATUS_CLEAN if not races and not verdict.deadlocks else STATUS_CAP
+
+    if report.status == STATUS_CAP and not races:
+        # No races left, found by the loop or by the check at the cap.
+        if verdict.deadlocks:
+            report.diagnostics.append(Diagnostic(
+                "warning",
+                "no races, but the program can deadlock on its own mutexes; "
+                "nothing for the race fixer to do",
+            ))
+            report.status = STATUS_NOTHING
+        else:
+            report.status = STATUS_CLEAN
 
     if verdict.truncated:
         # `verdict` is the check behind the final status, also after a rollback

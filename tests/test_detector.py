@@ -1,24 +1,18 @@
-"""Vector clocks, analyses, exploration, deadlocks, and the log round trip."""
+"""Happens-before edges, analyses, exploration, deadlocks, and the log round trip."""
 
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from racefixer import UnsupportedConstruct, explore, parse_report, parse_source
 from racefixer.detector import (
     AccessRecord,
     LocksetState,
-    VectorClock,
     hb_check,
     hybrid_verdict,
     lockset_check,
     render_tsan_log,
     replay,
-    sync_create,
-    sync_join,
-    sync_lock,
-    sync_unlock,
 )
 from racefixer.reports import SourceCoord, format_summary
 
@@ -26,61 +20,135 @@ from conftest import corpus, within_seconds
 from oracle import all_races
 
 
-def vc(*counts):
-    return VectorClock(tuple(counts))
-
-
 def record(variable="g", kind="write", thread=0, clock=(), locks=(),
            line=1, column=1, function="main"):
-    return AccessRecord(variable, kind, thread, vc(*clock), frozenset(locks),
+    return AccessRecord(variable, kind, thread, tuple(clock), frozenset(locks),
                         SourceCoord(line, column), function)
 
 
-class TestVectorClock:
-    def test_join_is_componentwise_max(self):
-        assert vc(1, 5).join(vc(3, 2)) == vc(3, 5)
-
-    def test_tick_touches_only_own_component(self):
-        assert vc(1, 1).tick(0) == vc(2, 1)
-        assert vc().tick(2) == vc(0, 0, 1)
-
-    def test_leq_partial_order(self):
-        assert vc(1, 2).leq(vc(1, 3))
-        assert not vc(2, 0).leq(vc(1, 3))
-        assert vc().leq(vc(1))
-
-    def test_concurrent(self):
-        assert vc(1, 0).concurrent_with(vc(0, 1))
-        assert not vc(1, 1).concurrent_with(vc(1, 2))
-
-    @given(st.lists(st.integers(0, 5), max_size=4).map(tuple),
-           st.lists(st.integers(0, 5), max_size=4).map(tuple))
-    def test_join_is_upper_bound(self, a, b):
-        x, y = VectorClock(a), VectorClock(b)
-        joined = x.join(y)
-        assert x.leq(joined) and y.leq(joined)
-        assert joined == y.join(x)
+def hb_pairs(verdict) -> set:
+    """The happens-before races of `verdict` in the oracle's shape."""
+    return {
+        (r.variable, tuple(sorted([r.current.coord, r.previous.coord])))
+        for r in verdict.hb_races
+    }
 
 
-class TestSyncEdges:
+def checked_hb_pairs(source: str) -> set:
+    """The races `explore` finds in `source`, once they are checked equal
+    to the clock-free oracle's under both reductions."""
+    results = []
+    for reduction in ("dpor", "none"):
+        verdict = explore(parse_source(source), record_traces=True, reduction=reduction)
+        assert hb_pairs(verdict) == all_races(verdict.traces)
+        results.append(hb_pairs(verdict))
+    assert results[0] == results[1]
+    return results[0]
+
+
+def pair(variable, a, b) -> tuple:
+    return (variable, (SourceCoord(*a), SourceCoord(*b)))
+
+
+class TestHbEdges:
+    """Each happens-before edge on its own, through the explorer."""
+
     def test_release_acquire_chain(self):
-        published, after = sync_unlock(vc(3, 0), 0)
-        assert published == vc(3, 0)
-        assert after == vc(4, 0)
-        acquired = sync_lock(vc(0, 2), 1, published)
-        assert acquired == vc(3, 3)
-
-    def test_join_folds_child_history(self):
-        joined = sync_join(vc(2, 0), 0, vc(1, 4))
-        assert vc(1, 4).leq(joined)
-        assert joined == vc(3, 4)
+        # main writes H only after it acquired M from T's release and saw
+        # T's later write of Z.  An unlock publishes the clock before it
+        # ticks, so T's writes after its unlock still race.
+        source = """\
+int F;
+int H;
+int Z;
+pthread_mutex_t M = PTHREAD_MUTEX_INITIALIZER;
+void *T(void *x) {
+    pthread_mutex_lock(&M);
+    F = 1;
+    pthread_mutex_unlock(&M);
+    H = 1;
+    Z = 1;
+    return 0;
+}
+int main() {
+    pthread_t t;
+    pthread_create(&t, 0, T, 0);
+    pthread_mutex_lock(&M);
+    int seen = F;
+    pthread_mutex_unlock(&M);
+    if (seen && Z) {
+        H = 2;
+    }
+    pthread_join(t, 0);
+    return 0;
+}
+"""
+        assert checked_hb_pairs(source) == {
+            pair("H", (9, 5), (20, 9)),
+            pair("Z", (10, 5), (19, 17)),
+        }
 
     def test_create_hands_clock_to_child(self):
-        child, parent = sync_create(vc(2, 0), 0, 1)
-        assert child == vc(2, 1)
-        assert parent == vc(3, 0)
-        # parent's later work is concurrent with the child
-        assert parent.concurrent_with(child)
+        # the second child sees main's write before its creation, not after
+        source = """\
+int G;
+void *T(void *x) {
+    G = 1;
+    return 0;
+}
+void *U(void *x) {
+    return 0;
+}
+int main() {
+    pthread_t u;
+    pthread_t t;
+    pthread_create(&u, 0, U, 0);
+    G = 2;
+    pthread_create(&t, 0, T, 0);
+    G = 3;
+    pthread_join(t, 0);
+    pthread_join(u, 0);
+    return 0;
+}
+"""
+        assert checked_hb_pairs(source) == {pair("G", (3, 5), (15, 5))}
+
+    def test_join_folds_child_history(self):
+        # main's write before the join races with the child, the one after does not
+        source = """\
+int G;
+void *T(void *x) {
+    G = 1;
+    return 0;
+}
+int main() {
+    pthread_t t;
+    pthread_create(&t, 0, T, 0);
+    G = 2;
+    pthread_join(t, 0);
+    G = 3;
+    return 0;
+}
+"""
+        assert checked_hb_pairs(source) == {pair("G", (3, 5), (9, 5))}
+
+    def test_main_write_before_first_create(self):
+        # main's own clock component is still zero at its first write
+        source = """\
+int G;
+void *T(void *x) {
+    G = 1;
+    return 0;
+}
+int main() {
+    pthread_t t;
+    G = 2;
+    pthread_create(&t, 0, T, 0);
+    pthread_join(t, 0);
+    return 0;
+}
+"""
+        assert checked_hb_pairs(source) == set()
 
 
 class TestHbCheck:
@@ -248,6 +316,11 @@ class TestExplore:
         assert verdict.explored == 3
         assert verdict.truncated
 
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bound_below_one_rejected(self, bound):
+        with pytest.raises(ValueError, match="bound must be at least 1"):
+            explore(parse_source(corpus("race_plain.c")), bound=bound)
+
     def test_step_budget_guards_runaway_loops(self):
         source = (
             "int go;\n\nint main() {\n"
@@ -315,12 +388,7 @@ class TestOracleEquivalence:
     def test_hb_races_match_brute_force(self, name):
         verdict = explore(parse_source(corpus(name)), record_traces=True,
                           reduction=self.reduction)
-        expected = all_races(verdict.traces)
-        got = {
-            (r.variable, tuple(sorted([r.current.coord, r.previous.coord])))
-            for r in verdict.hb_races
-        }
-        assert got == expected
+        assert hb_pairs(verdict) == all_races(verdict.traces)
 
     @pytest.mark.parametrize("name", ["race_plain.c", "race_two_vars.c", "deadlock_abba.c"])
     def test_every_race_has_adjacent_witness(self, name):

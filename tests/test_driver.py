@@ -66,6 +66,22 @@ class TestRunBuiltin:
         verdict = explore(parse_source(report.final_text))
         assert verdict.hb_races == () and verdict.diagnostics == ()
 
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_own_deadlock_after_last_race_same_status_at_any_cap(self, tmp_path, cap):
+        # deadlock_user.c plus one race on G, which one patch round fixes
+        text = corpus("deadlock_user.c").replace(
+            "void *Thread1(void *x) {\n", "int G;\n\nvoid *Thread1(void *x) {\n    G = 1;\n"
+        ).replace("    pthread_join(t, 0);", "    G = 2;\n    pthread_join(t, 0);")
+        path = tmp_path / "deadlock_race.c"
+        path.write_text(text)
+        report = run(FixConfig(source=str(path), max_iterations=cap))
+        assert [len(it.races) for it in report.iterations] == [1, 0][:cap]
+        assert report.status == STATUS_NOTHING
+        assert [d.message for d in report.diagnostics if d.severity == "warning"] == [
+            "no races, but the program can deadlock on its own mutexes; "
+            "nothing for the race fixer to do"
+        ]
+
     def test_iteration_cap_respected(self, tmp_source):
         path = tmp_source("race_plain.c")
         report = run(FixConfig(source=str(path), max_iterations=1))
@@ -303,6 +319,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert "'M' is declared both as an int and as a mutex" in captured.err
         assert "status=" not in captured.out
+
+    @pytest.mark.parametrize("command,bound", [("fix", "0"), ("detect", "-1")])
+    def test_bound_below_one_exit_three(self, tmp_source, capsys, command, bound):
+        path = tmp_source("race_plain.c")
+        assert cli_main([command, str(path), "--bound", bound]) == 3
+        captured = capsys.readouterr()
+        assert f"bound must be at least 1, not {bound}" in captured.err
+        assert captured.out == ""
 
     def test_detect_prints_summary(self, tmp_source, capsys):
         path = tmp_source("race_plain.c")
