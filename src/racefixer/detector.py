@@ -20,8 +20,9 @@ detector keeps:
   edges, for the precise happens-before race check: a prior access races
   unless the current thread has seen the prior's own clock component
   (FastTrack's epoch test);
-* a per-variable lockset intersection (the classic locking-discipline
-  check, kept deliberately simple, false positives and all);
+* a per-variable lockset intersection beside the access history, whose
+  last entry is the previous access (Eraser's locking-discipline check,
+  kept deliberately simple, false positives and all);
 * the set of stuck states, where some thread is unfinished but nothing
   can run: deadlocks.
 
@@ -32,11 +33,12 @@ state for undoing, and starts the next schedule from the deepest saved
 decision instead of from the beginning.  Its own bookkeeping (clocks and
 the latest operation on each object) is rolled back with that state, so
 a schedule costs only the steps it does not share with the previous
-one, and ``explore`` reads only the results those steps add.  Both
-kinds of clock, the race check's and DPOR's, are tuples of
-``MAX_THREADS`` counts, so saving one is sharing it.  A schedule is
-still just the list of thread choices taken at each decision point, and
-``replay`` re-runs a prefix exactly from the initial state.
+one.  Races and diagnostics are not state: they are kept by key as
+they are found and never rolled back.  Both kinds of clock, the race
+check's and DPOR's, are tuples of ``MAX_THREADS`` counts, so saving one
+is sharing it.  A schedule is still just the list of thread choices
+taken at each decision point, and ``replay`` re-runs a prefix exactly
+from the initial state.
 """
 
 from __future__ import annotations
@@ -173,36 +175,26 @@ def hb_check(current: AccessRecord, history) -> list[DetectedRace]:
     return races
 
 
-class LocksetState:
-    """Running intersection of locks held at each access to one variable."""
-
-    __slots__ = ("candidates", "last")
-
-    def __init__(self):
-        self.candidates: frozenset | None = None  # None means "universal"
-        self.last: AccessRecord | None = None
-
-
-def lockset_check(current: AccessRecord, state: LocksetState) -> DetectedRace | None:
-    """Intersect the candidate set; empty plus a write means trouble.
+def lockset_check(current: AccessRecord, candidates: frozenset | None,
+                  last: AccessRecord | None) -> tuple:
+    """Eraser's lockset refinement for one access: `candidates` are the
+    locks held at every earlier access to the variable, `last` the access
+    just before `current` (both None before the first).  Returns the
+    refined candidate set and the race, if any: an empty set plus a write.
 
     No ownership state machine is modeled, so single-threaded code and
     fork/join-ordered code get flagged too; the hybrid verdict keeps
     these as advisories rather than reports.
     """
-    if state.candidates is None:
-        state.candidates = current.lockset
-    else:
-        state.candidates = state.candidates & current.lockset
+    candidates = current.lockset if candidates is None else candidates & current.lockset
     race = None
     if (
-        state.last is not None
-        and not state.candidates
-        and (current.kind == "write" or state.last.kind == "write")
+        last is not None
+        and not candidates
+        and (current.kind == "write" or last.kind == "write")
     ):
-        race = DetectedRace(current.variable, current, state.last)
-    state.last = current
-    return race
+        race = DetectedRace(current.variable, current, last)
+    return candidates, race
 
 
 def select_races(hb_races, lockset_races, mode: str) -> tuple[DetectedRace, ...]:
@@ -572,7 +564,7 @@ class _Thread:
     `saved` caches `save()` until the thread next changes."""
 
     __slots__ = ("tid", "function", "code", "pc", "stack", "env", "clock", "held",
-                 "pending", "steps", "self_blocked", "dpor", "since", "saved")
+                 "pending", "steps", "dpor", "since", "saved")
 
     def __init__(self, tid: int, function: str, code: list, clock: tuple):
         self.tid = tid
@@ -585,7 +577,6 @@ class _Thread:
         self.held = frozenset()
         self.pending: tuple | None = None
         self.steps = 0
-        self.self_blocked = False
         self.dpor: tuple | None = None
         self.since = 0
         self.saved = None
@@ -593,20 +584,20 @@ class _Thread:
     def save(self) -> tuple:
         if self.saved is None:
             self.saved = (self.pc, tuple(self.stack), self.env.copy(), self.clock, self.held,
-                          self.pending, self.steps, self.self_blocked, self.dpor, self.since)
+                          self.pending, self.steps, self.dpor, self.since)
         return self.saved
 
     def restore(self, saved: tuple) -> None:
         (self.pc, stack, env, self.clock, self.held, self.pending,
-         self.steps, self.self_blocked, self.dpor, self.since) = saved
+         self.steps, self.dpor, self.since) = saved
         self.stack = list(stack)
         self.env = env.copy()
         self.saved = saved
 
 
-def _undo_access(history: list, state: LocksetState, candidates, last) -> None:
+def _undo_access(history: list, candidates: dict, var: str, before) -> None:
     history.pop()
-    state.candidates, state.last = candidates, last
+    candidates[var] = before
 
 
 class _Run:
@@ -616,14 +607,16 @@ class _Run:
     `choose(run, enabled, pending)` returns the `_Step` to take at each
     decision, or None to stop there.  `save()` records what `restore()`
     needs to bring the run back to that point: the threads' own states,
-    and the lengths of `trail`, which holds an undo entry for every change
-    to shared state, and of the append-only results.  `results_from` are
-    the lengths of `hb_races`, `ls_races` and `diagnostics` that the last
-    restore kept: what a caller has seen already if it read them after
-    every schedule.
+    the length of the trace, and that of `trail`, which holds an undo
+    entry for every change to shared state.  A variable's access history
+    and lockset candidates are one such change.  Results are not state:
+    the races (`hb_races`, `ls_races`, by key) and `diagnostics` are the
+    caller's maps, which keep the first of each found by any schedule and
+    are never rolled back.
     """
 
-    def __init__(self, model: _Model, step_budget: int, record_trace: bool):
+    def __init__(self, model: _Model, step_budget: int, record_trace: bool,
+                 hb_races: dict, ls_races: dict, diagnostics: dict):
         self.model = model
         self.step_budget = step_budget
         self.record_trace = record_trace
@@ -637,16 +630,15 @@ class _Run:
         # control flow is data-dependent (a branch reachable only after
         # the other thread's later access hides its earlier one).
         self.histories: dict = {}  # var -> [AccessRecord, ...]
-        self.lockset_states: dict = {}  # var -> LocksetState
+        self.candidates: dict = {}  # var -> lockset_check's candidates after its history
 
-        self.hb_races: list[DetectedRace] = []
-        self.ls_races: list[DetectedRace] = []
+        self.hb_races = hb_races  # race key -> the first DetectedRace found with it
+        self.ls_races = ls_races
+        self.diagnostics = diagnostics  # Diagnostic -> None, in the order found
         self.deadlock: DeadlockRecord | None = None
-        self.diagnostics: list[Diagnostic] = []
         self.path: list[_Step] = []
         self.trace: list[tuple] = []
         self.trail: list[tuple] = []  # (undo function, *its arguments)
-        self.results_from = (0, 0, 0)
         self.aborted = False
         self.budget_exceeded = False
 
@@ -655,21 +647,15 @@ class _Run:
         self._advance(main)
 
     def save(self) -> tuple:
-        return (len(self.trail), len(self.trace), len(self.diagnostics),
-                len(self.hb_races), len(self.ls_races),
-                [(t, t.save()) for t in self.threads])
+        return (len(self.trail), len(self.trace), [(t, t.save()) for t in self.threads])
 
     def restore(self, saved: tuple) -> None:
-        trail_len, trace_len, diag_len, hb_len, ls_len, threads = saved
+        trail_len, trace_len, threads = saved
         trail = self.trail
         while len(trail) > trail_len:
             undo = trail.pop()
             undo[0](*undo[1:])
         del self.trace[trace_len:]
-        del self.diagnostics[diag_len:]
-        del self.hb_races[hb_len:]
-        del self.ls_races[ls_len:]
-        self.results_from = (hb_len, ls_len, diag_len)
         self.threads = [t for t, _ in threads]
         for t, state in threads:
             t.restore(state)
@@ -679,7 +665,7 @@ class _Run:
     # -- bookkeeping ---------------------------------------------------
 
     def _diag(self, severity: str, message: str) -> None:
-        self.diagnostics.append(Diagnostic(severity, message))
+        self.diagnostics.setdefault(Diagnostic(severity, message))
 
     def _over_budget(self, thread: _Thread) -> None:
         self._diag(
@@ -763,6 +749,10 @@ class _Run:
                     raise _ProgramFault(ins[1])
                 else:  # lock, unlock, create
                     thread.pending = ins
+                    if op == "lock" and ins[1] in thread.held and not self.aborted:
+                        # stuck for good: only this thread could unlock it
+                        self._diag("error", f"thread {thread.tid} locks '{ins[1]}' which it "
+                                            "already holds (self-deadlock)")
                     break
         except _ProgramFault as fault:
             self._diag("error", f"thread {thread.tid}: {fault}")
@@ -775,18 +765,7 @@ class _Run:
         intent = thread.pending
         op = intent[0]
         if op == "lock":
-            owner = self.mutex_owner[intent[1]]
-            if owner is None:
-                return True
-            if owner == thread.tid and not thread.self_blocked:
-                thread.self_blocked = True
-                thread.saved = None
-                self._diag(
-                    "error",
-                    f"thread {thread.tid} locks '{intent[1]}' which it already "
-                    "holds (self-deadlock)",
-                )
-            return False
+            return self.mutex_owner[intent[1]] is None
         if op == "join":
             target = intent[1]
             if isinstance(target, int) and 0 <= target < len(self.threads):
@@ -795,15 +774,17 @@ class _Run:
         return True
 
     def _note_access(self, record: AccessRecord) -> None:
-        history = self.histories.setdefault(record.variable, [])
-        self.hb_races.extend(hb_check(record, history))
-        history.append(record)
-
-        state = self.lockset_states.setdefault(record.variable, LocksetState())
-        self.trail.append((_undo_access, history, state, state.candidates, state.last))
-        race = lockset_check(record, state)
+        var = record.variable
+        history = self.histories.setdefault(var, [])
+        for race in hb_check(record, history):
+            self.hb_races.setdefault(race.key(), race)
+        before = self.candidates.get(var)
+        self.candidates[var], race = lockset_check(record, before,
+                                                   history[-1] if history else None)
         if race is not None:
-            self.ls_races.append(race)
+            self.ls_races.setdefault(race.key(), race)
+        history.append(record)
+        self.trail.append((_undo_access, history, self.candidates, var, before))
 
     # -- one scheduling step -------------------------------------------
 
@@ -971,7 +952,8 @@ class _Exhaustive:
         if not self.pending:
             return None
         self.prefix = self.pending.pop()
-        return _Run(run.model, run.step_budget, run.record_trace)
+        return _Run(run.model, run.step_budget, run.record_trace,
+                    run.hb_races, run.ls_races, run.diagnostics)
 
 
 class _Dpor:
@@ -1137,23 +1119,15 @@ def explore(
     explored = 0
     truncated = False
 
-    run = _Run(model, step_budget, record_traces)
+    run = _Run(model, step_budget, record_traces, hb, ls, diags)
     while run is not None:
         if explored >= bound:
             truncated = True
             break
         run.execute(search.choose)
         explored += 1
-
-        hb_from, ls_from, diag_from = run.results_from
-        for race in run.hb_races[hb_from:]:
-            hb.setdefault(race.key(), race)
-        for race in run.ls_races[ls_from:]:
-            ls.setdefault(race.key(), race)
         if run.deadlock is not None:
             deadlocks.setdefault(run.deadlock.threads, run.deadlock)
-        for diag in run.diagnostics[diag_from:]:
-            diags.setdefault(diag, None)
         if run.budget_exceeded:
             truncated = True
         if record_traces:
@@ -1173,7 +1147,7 @@ def explore(
 
 def replay(tree: CstNode, schedule: tuple, step_budget: int = DEFAULT_STEP_BUDGET) -> _Run:
     """Re-execute one recorded schedule prefix from the initial state."""
-    run = _Run(build_model(tree), step_budget, record_trace=True)
+    run = _Run(build_model(tree), step_budget, True, {}, {}, {})
     run.execute(_Exhaustive(tuple(schedule)).choose)
     return run
 

@@ -7,8 +7,9 @@
   can deadlock on its own mutexes, whether or not the cap was reached.
 * `_fix_from_reports` patches the races of the report files once: their
   coordinates describe the unpatched file.  It then logs an empty second
-  iteration and ends Clean, unless a race could not be acted on
-  (NothingFixable, patched text kept) or the cap is 1.
+  iteration and ends Clean, unless a race could not be acted on, or its
+  patch conflicted with another and so would need a later round
+  (NothingFixable, patched text kept), or the cap is 1.
 
 A round of either loop (`_patch_round`) locates both coordinates of every
 race, plans the matching templates, coalesces the patches and applies them.
@@ -52,6 +53,8 @@ class FixConfig:
             raise ValueError("max_iterations must be positive")
         if self.detector == "report" and not self.reports:
             raise ValueError("detector=report requires at least one report file")
+        if self.detector == "builtin" and self.reports:
+            raise ValueError("report files are read only with detector=report")
         if self.output == "out" and not self.out_path:
             raise ValueError("output=out requires an output path")
 
@@ -132,6 +135,7 @@ def _plan_patches(tree, races: RaceSet, record: IterationRecord,
     (for example a racy while condition whose unbraced body also touches
     the variable), one patch serves them all; a whole-statement wrap
     wins over a condition template because it guards strictly more.
+    Returns the groups that got a patch.
     """
     plans: dict[str, transform.MutexPlan] = {}
     groups: dict[tuple, _Group] = {}  # (variable, statement identity) -> group
@@ -178,8 +182,8 @@ def _plan_patches(tree, races: RaceSet, record: IterationRecord,
             if note not in record.notes:
                 record.notes.append(note)
 
-    covered = {race for group in groups.values() if group.patch is not None
-               for race in group.races}
+    patched = [group for group in groups.values() if group.patch is not None]
+    covered = {race for group in patched for race in group.races}
     for race in races:
         if race not in covered:
             record.skipped.append(
@@ -190,19 +194,30 @@ def _plan_patches(tree, races: RaceSet, record: IterationRecord,
                 diagnostics.append(
                     Diagnostic("warning", f"{race.summary_line()}: {reason}")
                 )
-    return patches
+    return patched
 
 
 def _patch_round(tree, text: str, races: RaceSet, record: IterationRecord,
-                 diagnostics: list[Diagnostic]):
+                 diagnostics: list[Diagnostic], retry: bool):
     """Plan, coalesce and apply the patches for `races`.
 
-    Returns the patched text and its parse, or None when no edit is left.
+    A race whose patch coalesce defers is left for the next detection
+    when `retry`, and skipped otherwise.  Returns the patched text and
+    its parse, or None when no edit is left.
     """
-    patches = _plan_patches(tree, races, record, diagnostics)
-    coalesced = transform.coalesce(patches, text)
-    for _, reason in coalesced.deferred:
-        diagnostics.append(Diagnostic("warning", reason))
+    groups = _plan_patches(tree, races, record, diagnostics)
+    coalesced = transform.coalesce([group.patch for group in groups], text)
+    if retry:
+        for _, reason in coalesced.deferred:
+            diagnostics.append(Diagnostic("warning", f"{reason}; retried next iteration"))
+    else:
+        deferred = {id(patch): reason for patch, reason in coalesced.deferred}
+        skipped: dict[DataRace, str] = {}
+        for group in groups:
+            if id(group.patch) in deferred:
+                for race in group.races:
+                    skipped.setdefault(race, deferred[id(group.patch)])
+        record.skipped.extend(skipped.items())
     record.applied = len(coalesced.patches)  # coalesce keeps only patches with edits
     if not coalesced.edits:
         return None
@@ -236,7 +251,7 @@ def _fix_builtin(config: FixConfig, text: str, source_name: str, report: FixRepo
         if not races:
             break
 
-        patched = _patch_round(tree, text, races, record, report.diagnostics)
+        patched = _patch_round(tree, text, races, record, report.diagnostics, retry=True)
         if patched is None:
             report.status = STATUS_NOTHING
             break
@@ -289,11 +304,11 @@ def _fix_from_reports(config: FixConfig, text: str, report: FixReport) -> str:
         record = IterationRecord(1, races)
         report.iterations.append(record)
         patched = _patch_round(cst.parse_source(text), text, races, record,
-                               report.diagnostics)
+                               report.diagnostics, retry=False)
         if patched is not None:
             text = patched[0]
         if patched is None or record.skipped:
-            # Some reported races could not be acted on; they remain.
+            # Some reported races could not be acted on now; they remain.
             report.status = STATUS_NOTHING
             return text
         if config.max_iterations == 1:

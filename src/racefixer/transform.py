@@ -505,7 +505,7 @@ def coalesce(patches: list[Patch], text: str) -> CoalesceResult:
     """Combine patches: shared declarations, merged critical sections.
 
     Duplicate patches are dropped, overlapping ones are deferred (the
-    later race is retried on the next iteration), and an unlock
+    later race needs another round), and an unlock
     insertion immediately followed by a lock insertion of the same mutex
     cancels out.  The returned edit list is ordered; at equal offsets,
     locks whose access appears first in the statement come first.
@@ -527,16 +527,12 @@ def coalesce(patches: list[Patch], text: str) -> CoalesceResult:
     accepted_edits: list[TextEdit] = []
     for patch in unique:
         if any(_patches_conflict(patch, earlier) for earlier in accepted):
-            deferred.append(
-                (patch, "conflicts with an earlier patch; retried next iteration")
-            )
+            deferred.append((patch, "conflicts with an earlier patch"))
         elif check_overlaps(accepted_edits + patch.edits) is None:
             accepted.append(patch)
             accepted_edits.extend(patch.edits)
         else:
-            deferred.append(
-                (patch, "edits overlap an earlier patch; retried next iteration")
-            )
+            deferred.append((patch, "edits overlap an earlier patch"))
 
     decls: dict[str, TextEdit] = {}
     for patch in accepted:

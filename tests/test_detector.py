@@ -7,7 +7,6 @@ import pytest
 from racefixer import UnsupportedConstruct, explore, parse_report, parse_source
 from racefixer.detector import (
     AccessRecord,
-    LocksetState,
     hb_check,
     hybrid_verdict,
     lockset_check,
@@ -170,17 +169,20 @@ class TestHbCheck:
 
 class TestLocksetCheck:
     def test_common_lock_keeps_quiet(self):
-        state = LocksetState()
-        assert lockset_check(record(locks={"m"}, thread=0), state) is None
-        assert lockset_check(record(locks={"m"}, thread=1), state) is None
-        assert state.candidates == frozenset({"m"})
+        first = record(locks={"m"}, thread=0)
+        candidates, race = lockset_check(first, None, None)
+        assert race is None
+        candidates, race = lockset_check(record(locks={"m"}, thread=1), candidates, first)
+        assert race is None
+        assert candidates == frozenset({"m"})
 
     def test_emptied_candidate_set_flags(self):
-        state = LocksetState()
-        assert lockset_check(record(locks={"m"}, thread=0), state) is None
-        race = lockset_check(record(locks=set(), thread=1), state)
+        first = record(locks={"m"}, thread=0)
+        candidates, race = lockset_check(first, None, None)
+        assert race is None
+        candidates, race = lockset_check(record(locks=set(), thread=1), candidates, first)
         assert race is not None
-        assert state.candidates == frozenset()
+        assert candidates == frozenset()
 
     def test_single_threaded_no_locks_flagged(self):
         verdict = explore(parse_source(corpus("lockset_single.c")))

@@ -7,7 +7,7 @@ from racefixer.cli import main as cli_main
 from racefixer.driver import STATUS_CLEAN, STATUS_DEADLOCK, STATUS_NOTHING, render_diff
 from racefixer.reports import SourceCoord
 
-from conftest import FIXTURES_DIR, corpus, within_seconds
+from conftest import FIXTURES_DIR, corpus, fixture, within_seconds
 
 
 class TestRunBuiltin:
@@ -189,9 +189,39 @@ class TestRunReportMode:
         (race, reason), = report.iterations[0].skipped
         assert race.first.line == 98 and "no reference" in reason
 
+    def test_report_mode_skips_race_whose_patch_was_deferred(self, tmp_path):
+        # race_else_if.c plus a write of Level in main: the Mode read in the
+        # else-if condition conflicts with the Level patch of that chain
+        from racefixer.detector import render_tsan_log
+
+        text = corpus("race_else_if.c").replace("    Mode = 1;\n",
+                                                "    Mode = 1;\n    Level = 5;\n")
+        source = tmp_path / "prog.c"
+        source.write_text(text)
+        log = tmp_path / "tsan.log"
+        log.write_text(render_tsan_log(explore(parse_source(text)).hb_races, "prog.c"))
+        report = run(FixConfig(source=str(source), detector="report",
+                               reports=(str(log),)))
+        assert report.log_lines() == [
+            "iteration=1 races=3 fixed=4 skipped=1",
+            "status=NothingFixable",
+        ]
+        (race, reason), = report.iterations[0].skipped
+        assert race.variable == "Mode" and SourceCoord(7, 16) in (race.first, race.second)
+        assert reason == "conflicts with an earlier patch"
+        assert report.final_text.count("pthread_mutex_lock(&__rf_mutex_Level);") == 3
+        # the built-in detector re-detects the Mode race and fixes it next round
+        builtin = run(FixConfig(source=str(source)))
+        assert builtin.status == STATUS_CLEAN
+        assert len(builtin.iterations) == 3
+
     def test_report_mode_requires_reports(self):
         with pytest.raises(ValueError):
             FixConfig(source="x.c", detector="report")
+
+    def test_reports_require_report_mode(self):
+        with pytest.raises(ValueError, match="detector=report"):
+            FixConfig(source="x.c", reports=("tsan.log",))
 
 
 class TestOutputModes:
@@ -319,6 +349,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert "'M' is declared both as an int and as a mutex" in captured.err
         assert "status=" not in captured.out
+
+    def test_report_without_report_detector_exit_three(self, tmp_source, tmp_path, capsys):
+        path = tmp_source("race_plain.c")
+        log = tmp_path / "tsan.log"
+        log.write_text(fixture("tsan_global_race.log"))
+        assert cli_main(["fix", str(path), "--report", str(log)]) == 3
+        captured = capsys.readouterr()
+        assert "report files are read only with detector=report" in captured.err
+        assert captured.out == ""
+        assert path.read_text() == corpus("race_plain.c")
 
     @pytest.mark.parametrize("command,bound", [("fix", "0"), ("detect", "-1")])
     def test_bound_below_one_exit_three(self, tmp_source, capsys, command, bound):

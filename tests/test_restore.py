@@ -8,7 +8,10 @@ fresh run.  The number of schedules explored is pinned to what the search
 explored when it replayed every schedule from the start, so the restore
 cannot change how many schedules run.  A digest of all recorded traces,
 in order, is pinned too, so a different search of the same size, or the
-same schedules in another order, fails as well.
+same schedules in another order, fails as well.  Races and diagnostics
+are not rolled back: after every schedule those the resumed run has kept
+are compared with what every fresh run so far found, and a digest of the
+whole verdict of every program is pinned.
 """
 
 import hashlib
@@ -16,6 +19,7 @@ import hashlib
 import pytest
 
 from racefixer import explore, parse_source
+from racefixer.reports import Diagnostic
 from racefixer.detector import DEFAULT_STEP_BUDGET, _Dpor, _Run, _Step, build_model, replay
 
 from conftest import corpus_files
@@ -70,6 +74,61 @@ TRACES_GENCONC = [
     "07c529173aacf285", "0d35fe831e11431a", "025d1b3e348a2d2f", "d5fd0746eb89e998",
     "2e9d076d255dc2e1", "7d16abe7bdc2057c", "289ef27eda0b9ee3", "dc03e31b8dedf8a2",
 ]
+
+# `verdict_digest` of every program, taken before races and diagnostics
+# were kept by key as they are found.
+VERDICTS_CORPUS = {
+    "adjacent_merge.c": "addf7e08868f8cff", "chain3.c": "1d9f5672f27d08ad",
+    "clean_locked.c": "eb1ec3c56466bd40", "comments_heavy.c": "0d2d7a526b5a5b17",
+    "deadlock_abba.c": "756e3a8e20072306", "deadlock_user.c": "97283c9467cca9fd",
+    "decls.c": "cd4780d75e124dbc", "lockset_join.c": "e0823b1b99478a3c",
+    "lockset_single.c": "54fe554c8cac36bb", "loop_break.c": "d677bbd1fc5190e5",
+    "nested_while_merge.c": "b584066f2b6f7781", "operators.c": "70b7594b452e0396",
+    "race_else_if.c": "9bd68fc0b0379cf7", "race_if_else.c": "3b6c711f7c295e78",
+    "race_if_no_else.c": "cc2019137e31ac41", "race_plain.c": "da5039112b794a12",
+    "race_two_vars.c": "dfadbde1907bde65", "race_while.c": "7e6bf11cc7f51d46",
+    "return_race.c": "8d7d36d73dfed457", "self_deadlock.c": "30553280b7d84e8a",
+    "single_line.c": "259c649e678d56b4", "unbraced.c": "952cc95d9b080a17",
+    "unlock_unheld.c": "1d39a23266e67a1e",
+}
+
+VERDICTS_GENCONC = [
+    "2c64c174708b3cb2", "45cc21ffe5eaea62", "371bf2801cbfdee3", "d2dc7f6a9515a390",
+    "345cfdb5fe78f4ea", "571845d4583a77b5", "52273be96eb7f825", "0cbe2cfddc3ac248",
+    "d11bf711bc7ad321", "058b8dcdb7c966d0", "8b36a3eaa9e91915", "cec4082ce296ed61",
+    "9516fc666fc300d0", "2064dd35d70e28a1", "5281c197fbd58104", "dd375eb850e2361a",
+    "39ca4624a88de510", "2dcf5c96a659d917", "f35e72e14f35eae0", "3c8b8e768114ec37",
+    "cc321bf1f171e3a2", "33d990a772fa4bc0", "86e017424bc5a88a", "1fc4ba7236750978",
+    "3b6ad18e4462ace5", "9a011cc74d6dc256", "dbd7451bcac958c3", "3864ef4c3256920a",
+    "ebab1eab2165e1ff", "e6cbc6b2458fc906", "d28e7670073dc5dc", "c82b2a1a5c207d29",
+    "5ddf18649751fd26", "0d7633745a07c8b5", "59eb420dfe72c544", "618cd1dc4af59bb0",
+    "79e566a9ddc3ae61", "ad43b0e84f795d5d", "358ad3a309e07ce1", "76fdbc299359fce9",
+    "d545f3c625098a62", "c0052667e8f9eacd", "eac3f670c1f8cf9c", "078983e1008f179e",
+    "175b665d9f6a5034", "6ed67d01140954a4", "fe639738b424ec38", "e58345ca73e288dd",
+    "06d7b653aa28319d", "3c921feddfff8ea3", "718fffac507676f5", "874132d0092735be",
+    "1b67eabc88b67b8e", "da5d3c5adca51872", "71f6f8e13e2a1332", "d2cf9df8a7fd3b5d",
+    "85f5f9f9ac17f9b9", "3fe6b5ff11eaad3b", "064e06a41c49673f", "26f0b64f907bbb16",
+]
+
+# The child faults as soon as it is created, and main then locks a
+# mutex it holds: the run ends on the fault, so it is no self-deadlock.
+FAULTING_CHILD = """\
+int G;
+pthread_mutex_t M = PTHREAD_MUTEX_INITIALIZER;
+
+void *Worker(void *arg) {
+    G = 1 / 0;
+    return 0;
+}
+
+int main() {
+    pthread_t t;
+    pthread_mutex_lock(&M);
+    pthread_create(&t, 0, Worker, 0);
+    pthread_mutex_lock(&M);
+    return 0;
+}
+"""
 
 # Local variables and operand stacks that change between decisions.
 LOCALS = """\
@@ -194,14 +253,17 @@ int main() {
 def run_state(run: _Run) -> tuple:
     accessed = {var for var, history in run.histories.items() if history}
     return (
-        run.trace, run.hb_races, run.ls_races, run.diagnostics, run.deadlock,
+        run.trace, run.deadlock,
         run.aborted, run.budget_exceeded, run.globals_, run.mutex_owner, run.mutex_clock,
         {var: run.histories[var] for var in accessed},
-        {var: (run.lockset_states[var].candidates, run.lockset_states[var].last)
-         for var in accessed},
-        [(t.tid, t.function, t.pc, t.stack, t.env, t.clock, t.held, t.pending, t.steps,
-          t.self_blocked) for t in run.threads],
+        {var: run.candidates[var] for var in accessed},
+        [(t.tid, t.function, t.pc, t.stack, t.env, t.clock, t.held, t.pending, t.steps)
+         for t in run.threads],
     )
+
+
+def results(run: _Run) -> tuple:
+    return run.hb_races, run.ls_races, run.diagnostics
 
 
 def fresh_run(model, choices: list) -> _Run:
@@ -211,7 +273,7 @@ def fresh_run(model, choices: list) -> _Run:
         index = len(run.path)
         return _Step(enabled, choices[index], pending) if index < len(choices) else None
 
-    run = _Run(model, DEFAULT_STEP_BUDGET, record_trace=True)
+    run = _Run(model, DEFAULT_STEP_BUDGET, True, {}, {}, {})
     run.execute(choose)
     return run
 
@@ -220,11 +282,17 @@ def assert_restored_runs_match_fresh_ones(source: str, explored: int) -> None:
     tree = parse_source(source)
     model = build_model(tree)
     search = _Dpor()
-    run = _Run(model, DEFAULT_STEP_BUDGET, record_trace=True)
+    run = _Run(model, DEFAULT_STEP_BUDGET, True, {}, {}, {})
+    union = ({}, {}, {})  # the results of every fresh run so far, first found kept
     while run is not None:
         run.execute(search.choose)
         fresh = fresh_run(model, [step.choice for step in run.path])
         assert run_state(run) == run_state(fresh)
+        for kept, found in zip(union, results(fresh)):
+            for key, value in found.items():
+                kept.setdefault(key, value)
+        # item for item and in order
+        assert [list(m.items()) for m in results(run)] == [list(m.items()) for m in union]
         run = search.advance(run)
 
     verdict = explore(tree, record_traces=True)
@@ -280,3 +348,36 @@ def test_generated_schedules_are_pinned(seed):
 def test_schedules_are_pinned(source, digest, explored):
     assert explore(parse_source(source)).explored == explored
     assert trace_digest(source) == digest
+
+
+def verdict_digest(source: str) -> str:
+    """Everything `explore` finds in `source`, as a short hash: both race
+    lists with every field of both accesses, the deadlocks with their
+    schedules, the diagnostics in order, and the search's size."""
+    verdict = explore(parse_source(source))
+
+    def access(a):  # a frozenset's order depends on the hash seed
+        return (a.kind, a.thread, a.function, a.coord, a.clock, sorted(a.lockset))
+
+    def races(found):
+        return [(r.variable, access(r.current), access(r.previous)) for r in found]
+
+    text = repr((races(verdict.hb_races), races(verdict.lockset_races), verdict.deadlocks,
+                 verdict.diagnostics, verdict.explored, verdict.truncated))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
+def test_corpus_verdicts_are_pinned(path):
+    assert verdict_digest(path.read_text(encoding="utf-8")) == VERDICTS_CORPUS[path.name]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_generated_verdicts_are_pinned(seed):
+    assert verdict_digest(generate_concurrent(seed)) == VERDICTS_GENCONC[seed]
+
+
+@pytest.mark.parametrize("reduction", ["dpor", "none"])
+def test_fault_ends_run_before_self_deadlock(reduction):
+    verdict = explore(parse_source(FAULTING_CHILD), reduction=reduction)
+    assert verdict.diagnostics == (Diagnostic("error", "thread 1: division by zero"),)
