@@ -85,6 +85,9 @@ def _cmd_fix(args) -> int:
     if args.verbose or report.status == driver.STATUS_DEADLOCK:
         for diag in report.diagnostics:
             print(diag.render("rf-fix"), file=sys.stderr)
+    if args.verbose:
+        for race, reason in [pair for it in report.iterations for pair in it.skipped]:
+            print(f"rf-fix: warning: skipped {race.summary_line()}: {reason}", file=sys.stderr)
     if output == "diff":
         diff = driver.render_diff(report.original_text, report.final_text,
                                   Path(args.source).name)

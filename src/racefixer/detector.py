@@ -3,11 +3,13 @@
 Each function is compiled once into a flat list of instructions, and a
 deterministic interpreter runs every thread up to its next shared
 operation; a depth-first scheduler enumerates thread interleavings up to a
-configurable bound of schedules.  By default it uses dynamic
-partial-order reduction (Flanagan & Godefroid, POPL 2005) with sleep
-sets: as each operation runs it extends happens-before over the current
-schedule, and the search branches only where two dependent operations
-of different threads could run in the other order.  Operations are
+configurable bound of schedules.  Compiling resolves each name, with C
+block scoping, and checks each call: what the interpreter does not model
+is an `UnsupportedConstruct` before any schedule runs.  By default it
+uses dynamic partial-order reduction (Flanagan & Godefroid, POPL 2005)
+with sleep sets: as each operation runs it extends happens-before over
+the current schedule, and the search branches only where two dependent
+operations of different threads could run in the other order.  Operations are
 dependent when they touch the same variable (reads included), the same
 mutex, or are both thread creations.  Schedules that differ only in the order of
 independent operations give the same races, lockset results, deadlocks
@@ -243,7 +245,7 @@ def hybrid_verdict(
 
 
 class _ProgramFault(Exception):
-    """Runtime fault inside one schedule (bad call shape, div by zero...)."""
+    """A division or modulo by zero inside one schedule."""
 
 
 @dataclass
@@ -311,47 +313,64 @@ def _coord(ident: CstNode) -> SourceCoord:
     return SourceCoord(ident.token.line, ident.token.column)
 
 
-def _access(ins: str, name: str, coord: SourceCoord) -> tuple:
-    """A "read" or "store" of `name`, with its op should `name` be a global."""
-    kind = "write" if ins == "store" else "read"
-    return (ins, name, coord, (kind, name, ("var", name)))
+def _reject(token, message: str) -> UnsupportedConstruct:
+    return UnsupportedConstruct(f"{token.line}:{token.column}: {message}")
 
 
 class _Compiler:
     """Compiles one function into a flat list of instructions.
 
+    Names follow C's block scoping, an if's branches and a while's body
+    included: `names` maps each local in scope to its slot in the thread's
+    variables, a fresh one per declaration, which its block's end frees.
+    Any other name must be a global.  A name, call or ``&x`` that the
+    interpreter does not model is an `UnsupportedConstruct`.
+
     An instruction is a tuple whose first item names it.  Local ones work
     on the thread's operand stack and variables: ``("const", n)``,
     ``("unary", function)``, ``("binary", function)``, ``("pop",)``,
-    ``("decl", name)``,
+    ``("load", slot)``, ``("set", slot)``, ``("decl", slot)``,
     ``("jump", pc)``, ``("branch", pc, if_nonzero)``, ``("loop", pc)`` (a
-    jump back to a loop's condition), ``("check_handle", name)``,
-    ``("fault", message)`` and ``("return",)``.  ``("read", name, coord,
-    op)`` and ``("store", name, coord, op)`` use the function's variable if
-    it has been declared by then, and otherwise the global: a shared
-    operation.  ``("lock", mutex, coord, op)``, ``("unlock", mutex, coord,
-    op)``, ``("create", function, coord, handle, op)`` and ``("join",
-    handle, coord)`` are always shared.  `op` is what the scheduler sees of
-    the operation, (kind, object, conflict key); see `_Step`.  A join's op
-    needs the thread id its handle holds, so it is made when the join
-    becomes pending.  Shapes the interpreter cannot run compile to a fault
-    at the point where they would run, so a schedule that never reaches
-    them is unaffected.
+    jump back to a loop's condition) and ``("return",)``.  The shared ones
+    are ``("read", global, coord, op)``, ``("store", global, coord, op)``,
+    ``("lock", mutex, coord, op)``, ``("unlock", mutex, coord, op)``,
+    ``("create", function, coord, slot, op)`` and ``("join", slot,
+    coord)``.  `op` is what the scheduler sees of the operation, (kind,
+    object, conflict key); see `_Step`.  A join's op needs the thread id
+    its handle holds, so it is made when the join becomes pending.
     """
 
-    def __init__(self, mutexes: frozenset, functions: dict):
+    def __init__(self, globals_: dict, mutexes: frozenset, functions: dict):
+        self.globals_ = globals_
         self.mutexes = mutexes
         self.functions = functions
         self.code: list = []
         self.loops: list = []  # (condition pc, [pcs of the jumps out]) per open while
+        self.names: dict = {}
+        self.slots = 0  # taken by the declarations in scope
 
     def function(self, func: CstNode) -> list:
         self.code = []
-        if func.param is not None:
-            self.code += [("const", 0), ("decl", func.param)]
+        self.names = {} if func.param is None else {func.param: 0}  # see _Thread.env
+        self.slots = len(self.names)
         self.stmt(func.body)
         self.code.append(("return",))
         return self.code
+
+    def variable(self, ident: CstNode, ins: str) -> tuple:
+        """The "read" or "store" (`ins`) of the variable `ident` names."""
+        name = ident.name
+        if name in self.names:
+            return ("load" if ins == "read" else "set", self.names[name])
+        if name not in self.globals_:
+            raise _reject(ident.token, f"unknown identifier '{name}'")
+        kind = "write" if ins == "store" else "read"
+        return (ins, name, _coord(ident), (kind, name, ("var", name)))
+
+    def handle(self, ident: CstNode) -> int:
+        if ident.name not in self.names:
+            raise _reject(ident.token, f"'{ident.name}' is not a declared pthread_t")
+        return self.names[ident.name]
 
     def forward(self, *ins) -> int:
         """Emit a jump whose target `land` fills in later."""
@@ -364,6 +383,13 @@ class _Compiler:
             op, _, *rest = self.code[site]
             self.code[site] = (op, len(self.code), *rest)
 
+    def block(self, statements: list) -> None:
+        """Statements whose declarations end with them."""
+        outer = self.names.copy(), self.slots
+        for sub in statements:
+            self.stmt(sub)
+        self.names, self.slots = outer
+
     def stmt(self, stmt: CstNode) -> None:
         kind = stmt.kind
         emit = self.code.append
@@ -375,26 +401,27 @@ class _Compiler:
                 self.expr(stmt.init)
             else:
                 emit(("const", 0))
-            emit(("decl", stmt.name))
+            self.names[stmt.name] = self.slots
+            emit(("decl", self.slots))
+            self.slots += 1
         elif kind == cst.COMPOUND_STMT:
-            for sub in stmt.statements:
-                self.stmt(sub)
+            self.block(stmt.statements)
         elif kind == cst.IF_STMT:
             self.expr(stmt.cond)
             to_else = self.forward("branch", None, False)
-            self.stmt(stmt.then)
+            self.block([stmt.then])
             if stmt.els is None:
                 self.land(to_else)
             else:
                 to_end = self.forward("jump", None)
                 self.land(to_else)
-                self.stmt(stmt.els)
+                self.block([stmt.els])
                 self.land(to_end)
         elif kind == cst.WHILE_STMT:
             head = len(self.code)
             self.expr(stmt.cond)
             self.loops.append((head, [self.forward("branch", None, False)]))
-            self.stmt(stmt.body)
+            self.block([stmt.body])
             emit(("loop", head))
             self.land(*self.loops.pop()[1])
         elif kind == cst.RETURN_STMT:
@@ -405,8 +432,6 @@ class _Compiler:
             self.loops[-1][1].append(self.forward("jump", None))
         elif kind == cst.CONTINUE_STMT:
             emit(("loop", self.loops[-1][0]))
-        else:
-            emit(("fault", f"cannot execute {kind}"))
 
     def expr(self, expr: CstNode) -> None:
         kind = expr.kind
@@ -414,7 +439,7 @@ class _Compiler:
         if kind == cst.INT_LITERAL:
             emit(("const", expr.value))
         elif kind == cst.IDENTIFIER:
-            emit(_access("read", expr.name, _coord(expr)))
+            emit(self.variable(expr, "read"))
         elif kind == cst.UNARY_EXPR:
             self.expr(expr.operand)
             emit(("unary", _UNARY[expr.op]))
@@ -433,67 +458,56 @@ class _Compiler:
             self.expr(expr.rhs)
             emit(("binary", _BINARY[expr.op]))
         elif kind == cst.ASSIGN_EXPR:
-            name, coord = expr.target.name, _coord(expr.target)
             if expr.op == "+=":
-                emit(_access("read", name, coord))
+                emit(self.variable(expr.target, "read"))
                 self.expr(expr.value)
                 emit(("binary", operator.add))
             else:
                 self.expr(expr.value)
-            emit(_access("store", name, coord))
+            emit(self.variable(expr.target, "store"))
         elif kind == cst.CALL_EXPR:
             self.call(expr)
         elif kind == cst.ADDR_OF:
-            emit(("fault", "address-of is only meaningful as a pthread call argument"))
-        else:
-            emit(("fault", f"cannot evaluate {kind}"))
+            raise _reject(expr.children[0],
+                          "address-of is only meaningful as a pthread call argument")
 
     def call(self, call: CstNode) -> None:
         name = call.callee.name
         args = call.args
         emit = self.code.append
-        fault = None
+        where = call.callee.token
         if name in ("pthread_mutex_lock", "pthread_mutex_unlock"):
             if len(args) != 1 or args[0].kind != cst.ADDR_OF:
-                fault = f"{name} expects one argument of the form &mutex"
-            elif args[0].operand.name not in self.mutexes:
-                fault = f"'{args[0].operand.name}' is not a declared mutex"
-            else:
-                op = "lock" if name == "pthread_mutex_lock" else "unlock"
-                mutex = args[0].operand.name
-                emit((op, mutex, _coord(call.callee), (op, mutex, ("mutex", mutex))))
+                raise _reject(where, f"{name} expects one argument of the form &mutex")
+            mutex = args[0].operand.name
+            if mutex not in self.mutexes:
+                raise _reject(where, f"'{mutex}' is not a declared mutex")
+            op = "lock" if name == "pthread_mutex_lock" else "unlock"
+            emit((op, mutex, _coord(call.callee), (op, mutex, ("mutex", mutex))))
         elif name == "pthread_create":
             if len(args) != 4 or args[2].kind != cst.IDENTIFIER:
-                raise UnsupportedConstruct(
-                    "pthread_create must be called as pthread_create(&t, 0, fn, 0)"
-                )
+                raise _reject(where, "pthread_create must be called as "
+                                     "pthread_create(&t, 0, fn, 0)")
             target = args[2].name
             if target not in self.functions or target == "main":
-                raise UnsupportedConstruct(f"pthread_create targets unknown function '{target}'")
+                raise _reject(where, f"pthread_create targets unknown function '{target}'")
             if args[0].kind != cst.ADDR_OF:
-                fault = "pthread_create expects &handle as its first argument"
-            else:
-                handle = args[0].operand.name
-                emit(("check_handle", handle))
-                for arg in (args[1], args[3]):
-                    self.expr(arg)
-                    emit(("pop",))
-                emit(("create", target, _coord(call.callee), handle,
-                      ("create", target, "create")))
+                raise _reject(where, "pthread_create expects &handle as its first argument")
+            handle = self.handle(args[0].operand)
+            for arg in (args[1], args[3]):
+                self.expr(arg)
+                emit(("pop",))
+            emit(("create", target, _coord(call.callee), handle,
+                  ("create", target, "create")))
         elif name == "pthread_join":
             if len(args) != 2 or args[0].kind != cst.IDENTIFIER:
-                fault = "pthread_join expects (handle, 0)"
-            else:
-                emit(("check_handle", args[0].name))
-                self.expr(args[1])
-                emit(("pop",))
-                emit(("join", args[0].name, _coord(call.callee)))
+                raise _reject(where, "pthread_join expects (handle, 0)")
+            handle = self.handle(args[0])
+            self.expr(args[1])
+            emit(("pop",))
+            emit(("join", handle, _coord(call.callee)))
         else:
-            fault = f"call to unsupported function '{name}'"
-        if fault is not None:
-            emit(("fault", fault))
-            for arg in args:  # never run; compiled so that every pthread_create is checked
-                self.expr(arg)
+            raise _reject(where, f"call to unsupported function '{name}'")
 
 
 def build_model(tree: CstNode) -> _Model:
@@ -513,7 +527,7 @@ def build_model(tree: CstNode) -> _Model:
     clash = sorted(mutexes & globals_.keys())
     if clash:
         raise UnsupportedConstruct(f"'{clash[0]}' is declared both as an int and as a mutex")
-    compiler = _Compiler(frozenset(mutexes), bodies)
+    compiler = _Compiler(globals_, frozenset(mutexes), bodies)
     functions = {name: compiler.function(func) for name, func in bodies.items()}
     return _Model(globals_, frozenset(mutexes), functions)
 
@@ -572,7 +586,7 @@ class _Thread:
         self.code = code
         self.pc = 0
         self.stack: list = []
-        self.env: dict = {}
+        self.env = {0: 0}  # slot -> value; slot 0 is the parameter, if any, passed 0
         self.clock = clock
         self.held = frozenset()
         self.pending: tuple | None = None
@@ -680,10 +694,11 @@ class _Run:
         """Run `thread`'s local instructions up to its next shared
         operation, after pushing `result`, the value of the one it ran.
 
-        Loop iterations since the last shared operation count against the
-        step budget, so a loop that never touches shared state ends too.
+        Names and calls were checked when compiled.  Loop iterations
+        since the last shared operation count against the step budget, so
+        a loop that never touches shared state ends too.
         """
-        code, stack, env, globals_ = thread.code, thread.stack, thread.env, self.globals_
+        code, stack, env = thread.code, thread.stack, thread.env
         if result is not None:
             stack.append(result)
         pc = thread.pc
@@ -693,24 +708,18 @@ class _Run:
                 ins = code[pc]
                 op = ins[0]
                 pc += 1
-                if op == "read":
-                    if ins[1] in env:
-                        stack.append(env[ins[1]])
-                    elif ins[1] in globals_:
-                        thread.pending = ins
-                        break
-                    else:
-                        raise _ProgramFault(f"unknown identifier '{ins[1]}'")
+                if op == "load":
+                    stack.append(env[ins[1]])
                 elif op == "const":
                     stack.append(ins[1])
+                elif op == "read":
+                    thread.pending = ins
+                    break
+                elif op == "set":
+                    env[ins[1]] = stack[-1]
                 elif op == "store":
-                    if ins[1] in env:
-                        env[ins[1]] = stack[-1]
-                    elif ins[1] in globals_:
-                        thread.pending = ("write", ins[1], stack[-1], ins[2], ins[3])
-                        break
-                    else:
-                        raise _ProgramFault(f"unknown identifier '{ins[1]}'")
+                    thread.pending = ("write", ins[1], stack[-1], ins[2], ins[3])
+                    break
                 elif op == "binary":
                     rhs = stack.pop()
                     stack[-1] = ins[1](stack[-1], rhs)
@@ -732,9 +741,6 @@ class _Run:
                     env[ins[1]] = stack.pop()
                 elif op == "unary":
                     stack[-1] = ins[1](stack[-1])
-                elif op == "check_handle":
-                    if ins[1] not in env:
-                        raise _ProgramFault(f"'{ins[1]}' is not a declared pthread_t")
                 elif op == "join":
                     target = env[ins[1]]
                     thread.pending = ("join", target, ins[2], ("join", target, None))
@@ -745,8 +751,6 @@ class _Run:
                         held = ", ".join(sorted(thread.held))
                         self._diag("warning", f"thread {thread.tid} finished still holding {held}")
                     return
-                elif op == "fault":
-                    raise _ProgramFault(ins[1])
                 else:  # lock, unlock, create
                     thread.pending = ins
                     if op == "lock" and ins[1] in thread.held and not self.aborted:
@@ -768,7 +772,7 @@ class _Run:
             return self.mutex_owner[intent[1]] is None
         if op == "join":
             target = intent[1]
-            if isinstance(target, int) and 0 <= target < len(self.threads):
+            if 0 <= target < len(self.threads):
                 return self.threads[target].pending is None
             return True  # invalid handle: fault when executed
         return True
@@ -803,8 +807,7 @@ class _Run:
                                            thread.held, coord, thread.function))
             self._trace(("read", thread.tid, var, coord))
             self._advance(thread, self.globals_[var])
-            return
-        if op == "write":
+        elif op == "write":
             _, var, value, coord, _ = intent
             self._note_access(AccessRecord(var, "write", thread.tid, thread.clock,
                                            thread.held, coord, thread.function))
@@ -812,8 +815,7 @@ class _Run:
             self.globals_[var] = value
             self._trace(("write", thread.tid, var, coord))
             self._advance(thread)
-            return
-        if op == "lock":
+        elif op == "lock":
             _, mutex, coord, _ = intent
             self.trail.append((dict.__setitem__, self.mutex_owner, mutex, None))
             self.mutex_owner[mutex] = thread.tid
@@ -823,8 +825,7 @@ class _Run:
             thread.clock = _with(clock, thread.tid, clock[thread.tid] + 1)
             self._trace(("lock", thread.tid, mutex, coord))
             self._advance(thread, 0)
-            return
-        if op == "unlock":
+        elif op == "unlock":
             _, mutex, coord, _ = intent
             if self.mutex_owner[mutex] != thread.tid:
                 self._diag(
@@ -843,8 +844,7 @@ class _Run:
             thread.clock = _with(clock, thread.tid, clock[thread.tid] + 1)
             self._trace(("unlock", thread.tid, mutex, coord))
             self._advance(thread, 0)
-            return
-        if op == "create":
+        elif op == "create":
             _, target, coord, handle, _ = intent
             if len(self.threads) >= MAX_THREADS:
                 self._diag("error", f"thread limit of {MAX_THREADS} exceeded")
@@ -862,10 +862,9 @@ class _Run:
             self._trace(("create", thread.tid, child_tid, coord))
             thread.env[handle] = child_tid
             self._advance(thread, 0)
-            return
-        if op == "join":
+        elif op == "join":
             _, target, coord, _ = intent
-            if not (isinstance(target, int) and 0 <= target < len(self.threads)):
+            if not 0 <= target < len(self.threads):
                 self._diag("error", f"thread {thread.tid} joins an invalid handle")
                 self.aborted = True
                 return
@@ -874,8 +873,6 @@ class _Run:
             thread.clock = _with(clock, thread.tid, clock[thread.tid] + 1)
             self._trace(("join", thread.tid, target, coord))
             self._advance(thread, 0)
-            return
-        raise AssertionError(f"unknown intent {op}")
 
     def _trace(self, event: tuple) -> None:
         if self.record_trace:
@@ -909,12 +906,8 @@ class _Run:
             intent = t.pending
             if intent is None:
                 continue
-            if intent[0] == "lock":
-                waiting = f"mutex:{intent[1]}"
-            elif intent[0] == "join":
-                waiting = f"join:{intent[1]}"
-            else:  # unreachable for a stuck thread
-                waiting = intent[0]
+            # a stuck thread waits on a lock or a join
+            waiting = f"{'mutex' if intent[0] == 'lock' else 'join'}:{intent[1]}"
             blocked.append(BlockedThread(t.tid, waiting, tuple(sorted(t.held))))
         self.deadlock = DeadlockRecord(tuple(blocked), tuple(s.choice for s in self.path))
 

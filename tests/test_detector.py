@@ -150,6 +150,81 @@ int main() {
         assert checked_hb_pairs(source) == set()
 
 
+class TestBlockScoping:
+    """A local is visible from its declaration to the end of its block."""
+
+    def test_inner_local_ends_with_its_block(self):
+        # after the block, G is the global again and races with main's write
+        source = """\
+int G;
+void *T(void *x) {
+    {
+        int G = 0;
+    }
+    G = 1;
+    return 0;
+}
+int main() {
+    pthread_t t;
+    pthread_create(&t, 0, T, 0);
+    G = 2;
+    pthread_join(t, 0);
+    return 0;
+}
+"""
+        assert checked_hb_pairs(source) == {pair("G", (6, 5), (12, 5))}
+
+    def test_inner_local_does_not_replace_outer_one(self):
+        # x is the outer local again after the if, so T writes G
+        source = """\
+int G;
+void *T(void *arg) {
+    int x = 1;
+    if (1) {
+        int x = 2;
+    }
+    if (x == 1) {
+        G = 1;
+    }
+    return 0;
+}
+int main() {
+    pthread_t t;
+    pthread_create(&t, 0, T, 0);
+    G = 2;
+    pthread_join(t, 0);
+    return 0;
+}
+"""
+        assert checked_hb_pairs(source) == {pair("G", (8, 9), (15, 5))}
+
+    def test_sibling_blocks_share_a_slot_not_a_value(self):
+        # b takes a's slot, but its declaration sets it to zero
+        source = """\
+int G;
+void *T(void *arg) {
+    {
+        int a = 5;
+    }
+    {
+        int b;
+        if (b == 0) {
+            G = 1;
+        }
+    }
+    return 0;
+}
+int main() {
+    pthread_t t;
+    pthread_create(&t, 0, T, 0);
+    G = 2;
+    pthread_join(t, 0);
+    return 0;
+}
+"""
+        assert checked_hb_pairs(source) == {pair("G", (9, 13), (17, 5))}
+
+
 class TestHbCheck:
     def test_incomparable_writes_race(self):
         current = record(thread=0, clock=(1, 0))
@@ -501,4 +576,28 @@ class TestModelValidation:
             "    pthread_create(&t, 0, 5, 0);\n    return 0;\n}\n"
         )
         with pytest.raises(UnsupportedConstruct):
+            explore(parse_source(source))
+
+    @pytest.mark.parametrize("stmt, where, message", [
+        ("G = Missing + 1;", "11:9", "unknown identifier 'Missing'"),
+        ("Missing = 1;", "11:5", "unknown identifier 'Missing'"),
+        ("Missing += 1;", "11:5", "unknown identifier 'Missing'"),
+        ("pthread_mutex_lock(M);", "11:5",
+         "pthread_mutex_lock expects one argument of the form &mutex"),
+        ("pthread_mutex_lock(&N);", "11:5", "'N' is not a declared mutex"),
+        ("pthread_create(t, 0, W, 0);", "11:5",
+         "pthread_create expects &handle as its first argument"),
+        ("pthread_create(&u, 0, W, 0);", "11:21", "'u' is not a declared pthread_t"),
+        ("pthread_join(5, 0);", "11:5", r"pthread_join expects \(handle, 0\)"),
+        ("printf(G);", "11:5", "call to unsupported function 'printf'"),
+        ("x = &G;", "11:9", "address-of is only meaningful as a pthread call argument"),
+    ])
+    def test_unmodelled_name_or_call_rejected_where_it_is(self, stmt, where, message):
+        source = (
+            "int G;\npthread_mutex_t M = PTHREAD_MUTEX_INITIALIZER;\n\n"
+            "void *W(void *arg) {\n    return 0;\n}\n\n"
+            "int main() {\n    pthread_t t;\n    int x = 0;\n"
+            f"    {stmt}\n    return 0;\n}}\n"
+        )
+        with pytest.raises(UnsupportedConstruct, match=f"^{where}: {message}$"):
             explore(parse_source(source))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from racefixer import FixConfig, explore, parse_source, run
+from racefixer import FixConfig, UnsupportedConstruct, explore, parse_source, run
 from racefixer.cli import main as cli_main
 from racefixer.driver import STATUS_CLEAN, STATUS_DEADLOCK, STATUS_NOTHING, render_diff
 from racefixer.reports import SourceCoord
@@ -103,6 +103,21 @@ class TestRunBuiltin:
         assert any("changes behavior" in n for n in report.iterations[0].notes)
 
 
+def deferred_race_program(tmp_path):
+    """race_else_if.c plus a write of Level in main, and its report: the
+    Mode read in the else-if condition conflicts with the Level patch of
+    that chain, so report mode skips it."""
+    from racefixer.detector import render_tsan_log
+
+    text = corpus("race_else_if.c").replace("    Mode = 1;\n",
+                                            "    Mode = 1;\n    Level = 5;\n")
+    source = tmp_path / "prog.c"
+    source.write_text(text)
+    log = tmp_path / "tsan.log"
+    log.write_text(render_tsan_log(explore(parse_source(text)).hb_races, "prog.c"))
+    return source, log
+
+
 class TestRunReportMode:
     def test_report_driven_fix(self, tmp_path):
         # build a source whose coordinates match a hand-written report
@@ -119,6 +134,23 @@ class TestRunReportMode:
         assert "pthread_mutex_lock(&__rf_mutex_Global);" in report.final_text
         # the patched result really is race-free
         assert explore(parse_source(report.final_text)).clean
+
+    def test_report_mode_patches_program_the_model_rejects(self, tmp_path):
+        # report mode never builds the model, so an undeclared name in an
+        # unraced statement does not stop it
+        from racefixer.detector import render_tsan_log
+
+        source = tmp_path / "race.c"
+        source.write_text(corpus("race_plain.c").replace("return Global;",
+                                                         "return Global + Missing;"))
+        with pytest.raises(UnsupportedConstruct, match="13:21: unknown identifier 'Missing'"):
+            run(FixConfig(source=str(source)))
+        log = tmp_path / "tsan.log"
+        log.write_text(render_tsan_log(explore(parse_source(corpus("race_plain.c"))).hb_races,
+                                       "race.c"))
+        report = run(FixConfig(source=str(source), detector="report", reports=(str(log),)))
+        assert report.status == STATUS_CLEAN
+        assert report.final_text.count("pthread_mutex_lock(&__rf_mutex_Global);") == 2
 
     def test_stale_report_nothing_fixable(self, tmp_path):
         source = tmp_path / "prog.c"
@@ -190,16 +222,7 @@ class TestRunReportMode:
         assert race.first.line == 98 and "no reference" in reason
 
     def test_report_mode_skips_race_whose_patch_was_deferred(self, tmp_path):
-        # race_else_if.c plus a write of Level in main: the Mode read in the
-        # else-if condition conflicts with the Level patch of that chain
-        from racefixer.detector import render_tsan_log
-
-        text = corpus("race_else_if.c").replace("    Mode = 1;\n",
-                                                "    Mode = 1;\n    Level = 5;\n")
-        source = tmp_path / "prog.c"
-        source.write_text(text)
-        log = tmp_path / "tsan.log"
-        log.write_text(render_tsan_log(explore(parse_source(text)).hb_races, "prog.c"))
+        source, log = deferred_race_program(tmp_path)
         report = run(FixConfig(source=str(source), detector="report",
                                reports=(str(log),)))
         assert report.log_lines() == [
@@ -359,6 +382,50 @@ class TestCli:
         assert "report files are read only with detector=report" in captured.err
         assert captured.out == ""
         assert path.read_text() == corpus("race_plain.c")
+
+    @pytest.mark.parametrize("command", ["fix", "detect"])
+    def test_undeclared_name_exit_three(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.c"
+        bad.write_text("int G;\n\nint main() {\n    G = Missing + 1;\n    return 0;\n}\n")
+        assert cli_main([command, str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"racefixer: error: {bad}:4:9: unknown identifier 'Missing'\n"
+        assert captured.out == ""
+
+    def test_detect_reports_deadlock_on_a_join(self, tmp_path, capsys):
+        # thread 1 has finished; main holds m and joins thread 2, which waits for m
+        source = tmp_path / "join.c"
+        source.write_text(
+            "pthread_mutex_t m = PTHREAD_MUTEX_INITIALIZER;\n\n"
+            "void *Quick(void *arg) {\n    return 0;\n}\n\n"
+            "void *Locker(void *arg) {\n    pthread_mutex_lock(&m);\n"
+            "    pthread_mutex_unlock(&m);\n    return 0;\n}\n\n"
+            "int main() {\n    pthread_t a;\n    pthread_t b;\n"
+            "    pthread_create(&a, 0, Quick, 0);\n"
+            "    pthread_mutex_lock(&m);\n"
+            "    pthread_create(&b, 0, Locker, 0);\n"
+            "    pthread_join(b, 0);\n"
+            "    pthread_mutex_unlock(&m);\n"
+            "    pthread_join(a, 0);\n    return 0;\n}\n"
+        )
+        assert cli_main(["detect", str(source)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == ("deadlock: thread 0 waiting on join:2 holding m; "
+                          "thread 2 waiting on mutex:m")
+
+    def test_fix_verbose_gives_reason_for_each_skipped_race(self, tmp_path, capsys):
+        source, log = deferred_race_program(tmp_path)
+        argv = ["fix", str(source), "--detector", "report", "--report", str(log)]
+        code = cli_main(argv)
+        quiet = capsys.readouterr()
+        assert cli_main(argv + ["--verbose"]) == code == 1
+        verbose = capsys.readouterr()
+        assert verbose.out == quiet.out  # log and diff unchanged
+        assert "skipped" not in quiet.err
+        skipped = [line for line in verbose.err.splitlines() if "skipped" in line]
+        assert skipped == [
+            "rf-fix: warning: skipped Mode 7 16 16 5: conflicts with an earlier patch",
+        ]
 
     @pytest.mark.parametrize("command,bound", [("fix", "0"), ("detect", "-1")])
     def test_bound_below_one_exit_three(self, tmp_source, capsys, command, bound):
