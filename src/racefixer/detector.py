@@ -10,21 +10,24 @@ uses dynamic partial-order reduction (Flanagan & Godefroid, POPL 2005)
 with sleep sets: as each operation runs it extends happens-before over
 the current schedule, and the search branches only where two dependent
 operations of different threads could run in the other order.  Operations are
-dependent when they touch the same variable (reads included), the same
-mutex, or are both thread creations.  Schedules that differ only in the order of
-independent operations give the same races, lockset results, deadlocks
-and diagnostics, so one of them is enough; the bound therefore counts
-reduced schedules.  ``reduction="none"`` branches at every operation and
+dependent when they touch the same variable and not both only read it,
+the same mutex, or are both thread creations.  Schedules that differ only
+in the order of independent operations give the same races, lockset
+results, deadlocks and diagnostics, so one of them is enough; the bound
+therefore counts reduced schedules.  ``reduction="none"`` branches at every operation and
 is kept as the test oracle for the reduction.  Along each schedule the
 detector keeps:
 
 * a vector clock per thread, advanced over lock/unlock/create/join
   edges, for the precise happens-before race check: a prior access races
   unless the current thread has seen the prior's own clock component
-  (FastTrack's epoch test);
-* a per-variable lockset intersection beside the access history, whose
-  last entry is the previous access (Eraser's locking-discipline check,
-  kept deliberately simple, false positives and all);
+  (FastTrack's epoch test).  Per variable only the latest access of each
+  thread at each site is kept, the only one that can race first, and a
+  race is built only when its key is new;
+* a per-variable lockset intersection (Eraser's locking-discipline
+  check, kept deliberately simple, false positives and all), with the
+  last write and the reads since it, so that it flags what Eraser flags
+  in any order of those reads, the order DPOR does not fix;
 * the set of stuck states, where some thread is unfinished but nothing
   can run: deadlocks.
 
@@ -45,6 +48,7 @@ from the initial state.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -155,48 +159,115 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
-def hb_check(current: AccessRecord, history) -> list[DetectedRace]:
-    """Races between `current` and the prior accesses that do not happen
-    before it.
+# An access is the tuple (thread, clock, lockset, site): the id of the
+# thread that ran it, that thread's clock and the mutexes it held then, and
+# the `_site` of the instruction that made it.  An `AccessRecord` is built
+# from one only for a race not found before.
+
+
+def _site(kind: str, place: tuple, function: str, number: int) -> tuple:
+    """What every access a read or store instruction makes shares: its
+    kind ("read" | "write"), `place`, the (line, column) pair of the
+    variable's name, the function it is in, and a key base: that plus a
+    thread id keys the thread's latest access here in `_Variable.accesses`.
+    `number` is the instruction's own among the program's reads and
+    stores, so each (thread, coordinate, kind) gets one small int.  A
+    plain pair hashes and orders quickly; the `SourceCoord` is made only
+    for a race or a trace event."""
+    return (kind, place, function, number * MAX_THREADS)
+
+
+def _record(variable: str, access: tuple) -> AccessRecord:
+    thread, clock, lockset, (kind, place, function, _) = access
+    return AccessRecord(variable, kind, thread, clock, lockset, SourceCoord(*place), function)
+
+
+def hb_check(current: tuple, priors) -> list:
+    """The accesses among `priors` that race with `current`: those of
+    another thread that do not happen before it, unless both are reads.
 
     A prior access of thread t happens before `current` iff `current` has
     seen t's clock at least up to the prior's own component: FastTrack's
     epoch test (Flanagan & Freund, PLDI 2009).  Every prior access ran
-    earlier in the schedule, so `current` never happens before it.
+    earlier in the schedule, so `current` never happens before it.  A
+    thread's own component only grows, so of its accesses at one site the
+    latest races with whatever an earlier one races with.
     """
-    races = []
-    clock = current.clock
-    for prior in history:
-        tid = prior.thread
-        if tid == current.thread:
-            continue
-        if prior.kind == "read" and current.kind == "read":
-            continue
-        if prior.clock[tid] > clock[tid]:
-            races.append(DetectedRace(current.variable, current, prior))
-    return races
+    tid, clock, _, site = current
+    reading = site[0] == "read"
+    return [prior for prior in priors
+            if prior[0] != tid and prior[1][prior[0]] > clock[prior[0]]
+            and not (reading and prior[3][0] == "read")]
 
 
-def lockset_check(current: AccessRecord, candidates: frozenset | None,
-                  last: AccessRecord | None) -> tuple:
-    """Eraser's lockset refinement for one access: `candidates` are the
-    locks held at every earlier access to the variable, `last` the access
-    just before `current` (both None before the first).  Returns the
-    refined candidate set and the race, if any: an empty set plus a write.
+_NEVER = math.inf  # the epoch of a read that has not happened
+_UNREAD = (_NEVER,) * MAX_THREADS
+
+
+def lockset_check(current: tuple, state: tuple | None) -> tuple:
+    """Eraser's lockset refinement for one access to a variable, over
+    every order of the reads since its last write at once.  Returns the
+    variable's new state and the accesses `current` races with.
+
+    Eraser keeps the candidates, the locks held at every access so far,
+    and flags an empty set plus a write, in the current access or the one
+    just before it.  Reads of one variable commute, so which access comes
+    just before depends on the order of the reads since the last write
+    (the run), and a schedule stands for every such order.  Hence:
+
+    * a read races with the last write when it can come first in the run
+      (no earlier read of the run happens before it) and no lock is held
+      at the write, at every access before it and at the read;
+    * a write with an empty candidate set races with each read of the run
+      that can come last (no other read of the run happens after it), or,
+      with no read since, with the last write.
+
+    Happens-before is program order within a thread and the epoch test
+    across threads.  `state` is None before the first access, else the
+    tuple (candidates through the last write, candidates through every
+    access, the last write or None, the latest read of each thread that
+    has read since it, in the order they ran, and the epoch of each
+    thread's first read since it, inf for none).  Only a thread's latest
+    read can come last, and its first comes first if any does.
 
     No ownership state machine is modeled, so single-threaded code and
     fork/join-ordered code get flagged too; the hybrid verdict keeps
     these as advisories rather than reports.
     """
-    candidates = current.lockset if candidates is None else candidates & current.lockset
-    race = None
-    if (
-        last is not None
-        and not candidates
-        and (current.kind == "write" or last.kind == "write")
-    ):
-        race = DetectedRace(current.variable, current, last)
-    return candidates, race
+    tid, clock, lockset, site = current
+    if state is None:
+        through_write, candidates, write, reads, firsts = None, lockset, None, (), _UNREAD
+    else:
+        through_write, candidates, write, reads, firsts = state
+        candidates = candidates & lockset
+    races = []
+    if site[0] == "read":
+        if not reads:
+            if write is not None and not through_write & lockset:
+                races = [write]
+            reads = (current,)
+            firsts = _with(_UNREAD, tid, clock[tid])
+        else:
+            if (write is not None and not any(map(operator.le, firsts, clock))
+                    and not through_write & lockset):
+                races = [write]
+            if reads[-1][0] == tid:
+                reads = reads[:-1] + (current,)
+            else:
+                reads = tuple([read for read in reads if read[0] != tid]) + (current,)
+            if firsts[tid] == _NEVER:
+                firsts = _with(firsts, tid, clock[tid])
+        return (through_write, candidates, write, reads, firsts), races
+    if not candidates:
+        if len(reads) > 1:
+            races = [read for read in reads
+                     if all(other is read or other[1][read[0]] < read[1][read[0]]
+                            for other in reads)]
+        elif reads:
+            races = [reads[0]]
+        elif write is not None:
+            races = [write]
+    return (candidates, candidates, current, (), _UNREAD), races
 
 
 def select_races(hb_races, lockset_races, mode: str) -> tuple[DetectedRace, ...]:
@@ -332,7 +403,8 @@ class _Compiler:
     ``("load", slot)``, ``("set", slot)``, ``("decl", slot)``,
     ``("jump", pc)``, ``("branch", pc, if_nonzero)``, ``("loop", pc)`` (a
     jump back to a loop's condition) and ``("return",)``.  The shared ones
-    are ``("read", global, coord, op)``, ``("store", global, coord, op)``,
+    are ``("read", global, site, op)``, ``("store", global, site, op)``
+    (see `_site`),
     ``("lock", mutex, coord, op)``, ``("unlock", mutex, coord, op)``,
     ``("create", function, coord, slot, op)`` and ``("join", slot,
     coord)``.  `op` is what the scheduler sees of the operation, (kind,
@@ -344,16 +416,20 @@ class _Compiler:
         self.globals_ = globals_
         self.mutexes = mutexes
         self.functions = functions
+        self.name = ""  # of the function being compiled
+        self.sites = 0  # reads and stores compiled so far
         self.code: list = []
         self.loops: list = []  # (condition pc, [pcs of the jumps out]) per open while
         self.names: dict = {}
         self.slots = 0  # taken by the declarations in scope
+        self.declared: set = set()  # the names declared in the innermost block
 
     def function(self, func: CstNode) -> list:
+        self.name = func.name
         self.code = []
         self.names = {} if func.param is None else {func.param: 0}  # see _Thread.env
         self.slots = len(self.names)
-        self.stmt(func.body)
+        self.block(func.body.statements, self.names)  # the parameter is in the body's block
         self.code.append(("return",))
         return self.code
 
@@ -365,7 +441,10 @@ class _Compiler:
         if name not in self.globals_:
             raise _reject(ident.token, f"unknown identifier '{name}'")
         kind = "write" if ins == "store" else "read"
-        return (ins, name, _coord(ident), (kind, name, ("var", name)))
+        self.sites += 1
+        place = (ident.token.line, ident.token.column)
+        return (ins, name, _site(kind, place, self.name, self.sites),
+                (kind, name, ("var", name)))
 
     def handle(self, ident: CstNode) -> int:
         if ident.name not in self.names:
@@ -383,12 +462,14 @@ class _Compiler:
             op, _, *rest = self.code[site]
             self.code[site] = (op, len(self.code), *rest)
 
-    def block(self, statements: list) -> None:
-        """Statements whose declarations end with them."""
-        outer = self.names.copy(), self.slots
+    def block(self, statements: list, declared=()) -> None:
+        """Statements whose declarations end with them, in a block where
+        the names in `declared` already are."""
+        outer = self.names.copy(), self.slots, self.declared
+        self.declared = set(declared)
         for sub in statements:
             self.stmt(sub)
-        self.names, self.slots = outer
+        self.names, self.slots, self.declared = outer
 
     def stmt(self, stmt: CstNode) -> None:
         kind = stmt.kind
@@ -397,6 +478,9 @@ class _Compiler:
             self.expr(stmt.expr)
             emit(("pop",))
         elif kind == cst.DECL_STMT:
+            if stmt.name in self.declared:
+                raise _reject(stmt.name_token, f"'{stmt.name}' is already declared in this block")
+            self.declared.add(stmt.name)
             if stmt.init is not None:
                 self.expr(stmt.init)
             else:
@@ -538,32 +622,32 @@ def build_model(tree: CstNode) -> _Model:
 
 class _Step:
     """One scheduling decision on the current path: who could run, who
-    ran, and what each live thread was about to do, as (kind, object,
-    conflict key) triples.  Two operations are dependent when their
-    conflict keys are equal and not None: ("var", name) for a read or
+    ran (`choice`, whose triple is `op`), and what each live thread was
+    about to do, as (kind, object, conflict key) triples.  Two operations
+    are dependent (`_dependent`) when their conflict keys are equal and
+    not None and they are not both reads: ("var", name) for a read or
     write, ("mutex", name) for a lock or unlock, and "create" for every
     create, since thread ids are assigned in creation order.  A join has
     no key, since its happens-before edge from the target orders it.
 
-    DPOR also keeps the threads still to try from here (`backtrack`),
-    those that need not be (`sleep`, tid -> triple), what restores the
-    state before this step (`saved`), and the clock of the event once it
-    has been ordered (`clock`, see `_Dpor`)."""
+    DPOR also keeps the threads a race says to try from here
+    (`backtrack`, None for none), those that need not be (`sleep`, tid ->
+    triple, None for none), what restores the state before this step
+    (`saved`), and the clock of the event once it has been ordered
+    (`clock`, see `_Dpor`).  Most steps never get either set, so neither
+    is made until needed."""
 
-    __slots__ = ("enabled", "choice", "pending", "backtrack", "sleep", "saved", "clock")
+    __slots__ = ("enabled", "choice", "op", "pending", "backtrack", "sleep", "saved", "clock")
 
     def __init__(self, enabled: tuple, choice: int, pending: dict, sleep=None):
         self.enabled = enabled
         self.choice = choice
         self.pending = pending  # tid -> (kind, object, conflict key)
-        self.backtrack = {choice}
+        self.op = pending[choice]  # the chosen thread's
+        self.backtrack: set | None = None
         self.sleep = sleep
         self.saved = None
         self.clock = None
-
-    @property
-    def op(self) -> tuple:
-        return self.pending[self.choice]
 
 
 class _Thread:
@@ -609,9 +693,32 @@ class _Thread:
         self.saved = saved
 
 
-def _undo_access(history: list, candidates: dict, var: str, before) -> None:
-    history.pop()
-    candidates[var] = before
+def _found(races: dict, var: str, current: tuple, prior: tuple) -> None:
+    """Keep the race between two accesses to `var` unless its key is known."""
+    a, b = current[3][1], prior[3][1]
+    key = (var, a, b) if a <= b else (var, b, a)
+    if key not in races:
+        races[key] = DetectedRace(var, _record(var, current), _record(var, prior))
+
+
+class _Variable:
+    """What the race checks keep of the accesses to one global along the
+    schedule: the latest access per (thread, coordinate, kind), keyed as
+    `_site` says, and the `lockset_check` state."""
+
+    __slots__ = ("accesses", "lockset")
+
+    def __init__(self):
+        self.accesses: dict = {}
+        self.lockset: tuple | None = None
+
+
+def _undo_access(variable: _Variable, key: int, old, lockset) -> None:
+    if old is None:
+        del variable.accesses[key]
+    else:
+        variable.accesses[key] = old
+    variable.lockset = lockset
 
 
 class _Run:
@@ -622,11 +729,13 @@ class _Run:
     decision, or None to stop there.  `save()` records what `restore()`
     needs to bring the run back to that point: the threads' own states,
     the length of the trace, and that of `trail`, which holds an undo
-    entry for every change to shared state.  A variable's access history
-    and lockset candidates are one such change.  Results are not state:
-    the races (`hb_races`, `ls_races`, by key) and `diagnostics` are the
-    caller's maps, which keep the first of each found by any schedule and
-    are never rolled back.
+    entry for every change to shared state.  An access changes its
+    variable's `_Variable`: the latest access at its key, updated in place
+    so that undoing it keeps the order, and the `lockset_check` state; one
+    undo entry restores both.  Results are not state: the races
+    (`hb_races`, `ls_races`, by key) and `diagnostics` are the caller's
+    maps, which keep the first of each found by any schedule and are never
+    rolled back.  A race's key is tested before the race is built.
     """
 
     def __init__(self, model: _Model, step_budget: int, record_trace: bool,
@@ -639,14 +748,14 @@ class _Run:
         self.mutex_owner = dict.fromkeys(model.mutexes)
         self.mutex_clock = dict.fromkeys(model.mutexes, _ZERO)
         self.threads: list[_Thread] = []
-        # Full access history per variable.  A last-access-per-thread
-        # frontier looks sufficient but misses racy coordinate pairs when
+        # The latest access per thread and site, not per thread: a
+        # last-access-per-thread frontier misses racy coordinate pairs when
         # control flow is data-dependent (a branch reachable only after
         # the other thread's later access hides its earlier one).
-        self.histories: dict = {}  # var -> [AccessRecord, ...]
-        self.candidates: dict = {}  # var -> lockset_check's candidates after its history
+        self.variables = {var: _Variable() for var in model.globals_}
 
-        self.hb_races = hb_races  # race key -> the first DetectedRace found with it
+        # (variable, place, place) in order -> the first DetectedRace found with it
+        self.hb_races = hb_races
         self.ls_races = ls_races
         self.diagnostics = diagnostics  # Diagnostic -> None, in the order found
         self.deadlock: DeadlockRecord | None = None
@@ -777,18 +886,21 @@ class _Run:
             return True  # invalid handle: fault when executed
         return True
 
-    def _note_access(self, record: AccessRecord) -> None:
-        var = record.variable
-        history = self.histories.setdefault(var, [])
-        for race in hb_check(record, history):
-            self.hb_races.setdefault(race.key(), race)
-        before = self.candidates.get(var)
-        self.candidates[var], race = lockset_check(record, before,
-                                                   history[-1] if history else None)
-        if race is not None:
-            self.ls_races.setdefault(race.key(), race)
-        history.append(record)
-        self.trail.append((_undo_access, history, self.candidates, var, before))
+    def _note_access(self, thread: _Thread, var: str, site: tuple) -> None:
+        access = (thread.tid, thread.clock, thread.held, site)
+        variable = self.variables[var]
+        accesses = variable.accesses
+        for prior in hb_check(access, accesses.values()):
+            _found(self.hb_races, var, access, prior)
+        before = variable.lockset
+        variable.lockset, races = lockset_check(access, before)
+        for prior in races:
+            _found(self.ls_races, var, access, prior)
+        key = site[3] + thread.tid
+        self.trail.append((_undo_access, variable, key, accesses.get(key), before))
+        accesses[key] = access
+        if self.record_trace:
+            self.trace.append((site[0], thread.tid, var, SourceCoord(*site[1])))
 
     # -- one scheduling step -------------------------------------------
 
@@ -802,18 +914,14 @@ class _Run:
             return
 
         if op == "read":
-            _, var, coord, _ = intent
-            self._note_access(AccessRecord(var, "read", thread.tid, thread.clock,
-                                           thread.held, coord, thread.function))
-            self._trace(("read", thread.tid, var, coord))
+            _, var, site, _ = intent
+            self._note_access(thread, var, site)
             self._advance(thread, self.globals_[var])
         elif op == "write":
-            _, var, value, coord, _ = intent
-            self._note_access(AccessRecord(var, "write", thread.tid, thread.clock,
-                                           thread.held, coord, thread.function))
+            _, var, value, site, _ = intent
+            self._note_access(thread, var, site)
             self.trail.append((dict.__setitem__, self.globals_, var, self.globals_[var]))
             self.globals_[var] = value
-            self._trace(("write", thread.tid, var, coord))
             self._advance(thread)
         elif op == "lock":
             _, mutex, coord, _ = intent
@@ -970,9 +1078,14 @@ class _Dpor:
     A clock's entry u is one more than the index of the latest step of
     thread u that happens before.  The search state lives where the run's
     restore rolls it back: each thread's clock and pending-since step on
-    `_Thread`, each event's clock on its `_Step`, and `last` (conflict key
-    -> index of the latest step on it), whose changes are undone through
-    the run's trail.
+    `_Thread`, each event's clock on its `_Step`, and `last`, whose
+    changes are undone through the run's trail.  `last` maps a conflict
+    key to the latest write on it, then the latest read of each thread
+    since that write (the steps; a lock, unlock or create counts as a
+    write).  Reads commute, so a read is ordered after the write only, and
+    a write after the write and every read since; a thread's earlier reads
+    happen before its latest one.  These are also the operations a newly
+    pending one is checked against.
 
     After each run the state is restored to the deepest step with a
     backtrack thread left to try and not asleep, and goes on from there
@@ -988,17 +1101,17 @@ class _Dpor:
         if self.resume is not None:  # `advance` restored the state this step was saved in
             step, self.resume = self.resume, None
             return step
-        sleep = {}
+        sleep = None
         if not run.path:
             run.threads[0].dpor = _ZERO
         else:
             parent = run.path[-1]
             self._order(run, len(run.path) - 1)
             if parent.sleep:
-                key = parent.op[2]
+                ran = parent.op
                 sleep = {tid: op for tid, op in parent.sleep.items()
-                         if key is None or op[2] != key}
-        awake = [tid for tid in enabled if tid not in sleep]
+                         if not _dependent(ran, op)} or None
+        awake = [tid for tid in enabled if tid not in sleep] if sleep else enabled
         if not awake:
             return None  # every schedule from here is one already explored
         step = _Step(enabled, awake[0], pending, sleep)
@@ -1019,10 +1132,15 @@ class _Dpor:
                         _reverse(last, t.tid)
         while path:
             node = path.pop()
+            if node.backtrack is None:  # nothing to try here
+                continue
+            if node.sleep is None:
+                node.sleep = {}
             node.sleep[node.choice] = node.op
             options = node.backtrack.difference(node.sleep)
             if options:
                 node.choice = min(options)
+                node.op = node.pending[node.choice]
                 node.clock = None
                 run.restore(node.saved)
                 self.resume = node
@@ -1034,20 +1152,27 @@ class _Dpor:
         path, last = run.path, self.last
         step = path[k]
         tid = step.choice
-        kind, target, key = step.pending[tid]
+        op = step.op
+        kind, target, key = op
         thread = run.threads[tid]
         clock = thread.dpor
         if key is not None:
-            for other, op in step.pending.items():
-                if op[2] == key and other != tid:
+            for other, pending in step.pending.items():
+                if other != tid and _dependent(op, pending):
                     _reverse(step, other)
-            i = last.get(key)
-            if i is not None:
-                clock = _join(clock, path[i].clock)
+            prior = last.get(key, ())
             # unbound methods: a bound one in every entry would add to the peak
-            run.trail.append((dict.__setitem__, last, key, i) if i is not None
+            run.trail.append((dict.__setitem__, last, key, prior) if prior
                              else (dict.pop, last, key))
-            last[key] = k
+            if kind != "read":  # after the latest write and every read since
+                for before in prior:
+                    clock = _join(clock, before.clock)
+                last[key] = (step,)
+            else:  # after the latest write; its latest read stands for the thread's earlier ones
+                if prior and prior[0].op[0] != "read":
+                    clock = _join(clock, prior[0].clock)
+                last[key] = tuple([before for before in prior if before.choice != tid
+                                   or before.op[0] != "read"]) + (step,)
         elif kind == "join" and 0 <= target < len(run.threads):
             clock = _join(clock, run.threads[target].dpor)
         step.clock = thread.dpor = clock = _with(clock, tid, k + 1)
@@ -1056,22 +1181,31 @@ class _Dpor:
             if child.dpor is None:  # else the thread limit stopped the create
                 child.dpor = clock
                 if child.pending is not None:
-                    self._pend(run, child, k + 1)
+                    self._pend(child, k + 1)
         if thread.pending is not None and not run.aborted:  # else it never runs again
-            self._pend(run, thread, k + 1)
+            self._pend(thread, k + 1)
 
-    def _pend(self, run: _Run, thread: _Thread, state: int) -> None:
+    def _pend(self, thread: _Thread, state: int) -> None:
         """`thread`'s operation became pending at `state`."""
         thread.since = state
-        i = self.last.get(thread.pending[-1][2])
-        if i is not None:
-            step = run.path[i]
-            if thread.dpor[step.choice] <= i:
+        op = thread.pending[-1]
+        for step in self.last.get(op[2], ()):
+            u = step.choice
+            if _dependent(op, step.op) and thread.dpor[u] < step.clock[u]:  # not seen
                 _reverse(step, thread.tid)
+
+
+def _dependent(a: tuple, b: tuple) -> bool:
+    """Whether two operations, (kind, object, conflict key) triples, do
+    not commute: their keys are equal and not None, and not both are
+    reads."""
+    return a[2] is not None and a[2] == b[2] and (a[0] != "read" or b[0] != "read")
 
 
 def _reverse(step: _Step, tid: int) -> None:
     """DPOR must also try running `tid` at `step`."""
+    if step.backtrack is None:
+        step.backtrack = set()
     if tid in step.enabled:
         step.backtrack.add(tid)
     else:

@@ -274,13 +274,20 @@ def _branch_entry_unlock(text: str, branch: CstNode, plan: MutexPlan,
                          anchor=pos, order_col=order_col)]
     open_block = f"{{\n{body_ind}{UNLOCK_MARKER}\n{body_ind}{plan.unlock_call}\n{body_ind}"
     close_block = f"\n{anchor_ind}}}"
-    return [
-        TextEdit(branch.span.start_offset, branch.span.start_offset, open_block,
-                 kind="brace_unlock", mutex=plan.mutex_name,
-                 anchor=branch.span.start_offset, order_col=order_col),
-        TextEdit(branch.span.end_offset, branch.span.end_offset, close_block,
-                 kind="brace", anchor=branch.span.end_offset, order_col=order_col),
-    ]
+    start, end = branch.span.start_offset, branch.span.end_offset
+    lines = text[start:end].split("\n")
+    if len(lines) == 1:
+        opening = TextEdit(start, start, open_block, kind="brace_unlock",
+                           mutex=plan.mutex_name, anchor=start, order_col=order_col)
+    else:
+        # The branch moves to its own line inside the new block, so its
+        # other lines move one level in too.  The edit replaces the branch,
+        # which keeps other patches out of it until the next round.
+        moved = "\n".join([lines[0]] + [unit + line if line.strip() else line
+                                        for line in lines[1:]])
+        opening = TextEdit(start, end, open_block + moved, kind="brace_unlock",
+                           mutex=plan.mutex_name, anchor=start, order_col=order_col)
+    return [opening, TextEdit(end, end, close_block, kind="brace", anchor=end, order_col=order_col)]
 
 
 def _refold_close(patch: Patch, before: str, after: str, kind: str, col: int) -> None:

@@ -5,6 +5,11 @@ under the detector, so every name resolves, loops always terminate in
 every interleaving, and the shared-access count stays small enough for
 exhaustive exploration.  Used to cross-check the detector against the
 brute-force oracle and to fuzz the whole fix pipeline.
+
+With ``read_run=True`` a program also has a global ``R`` that the worker
+and main each read, unordered, before main writes it after the join: a
+write after two reads that can run in either order.  The option adds to
+the programs; without it every seed gives the program it always gave.
 """
 
 import random
@@ -13,10 +18,11 @@ _GLOBALS = ["G", "H", "K"]
 
 
 class ConcurrentProgramGenerator:
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, read_run: bool = False):
         self.rng = random.Random(seed)
         self.globals = self.rng.sample(_GLOBALS, self.rng.randint(1, 3))
         self.use_mutex = self.rng.random() < 0.35
+        self.read_run = read_run
 
     def _value(self) -> str:
         rng = self.rng
@@ -31,6 +37,9 @@ class ConcurrentProgramGenerator:
         if self.rng.random() < 0.15:
             return f"{indent}{self.rng.choice(self.globals)} += {self.rng.randint(1, 2)};\n"
         return f"{indent}{self.rng.choice(self.globals)} = {self._value()};\n"
+
+    def _read_r(self, indent: str) -> str:
+        return f"{indent}{self.rng.choice(self.globals)} = R;\n"
 
     def _statement(self, indent: str, depth: int, budget: list) -> str:
         rng = self.rng
@@ -69,12 +78,14 @@ class ConcurrentProgramGenerator:
         for name in self.globals:
             init = f" = {rng.randint(0, 2)}" if rng.random() < 0.5 else ""
             parts.append(f"int {name}{init};\n")
+        if self.read_run:
+            parts.append("int R;\n")
         if self.use_mutex:
             parts.append("pthread_mutex_t m = PTHREAD_MUTEX_INITIALIZER;\n")
         parts.append("\n")
 
         budget = [rng.randint(1, 3)]
-        worker = []
+        worker = [self._read_r("    ")] if self.read_run else []
         while budget[0] > 0:
             worker.append(self._statement("    ", 0, budget))
         parts.append("void *Worker(void *arg) {\n")
@@ -89,12 +100,16 @@ class ConcurrentProgramGenerator:
         if rng.random() < 0.4:
             parts.append(self._assign("    "))
         parts.append("    pthread_create(&t, 0, Worker, 0);\n")
+        if self.read_run:
+            parts.append(self._read_r("    "))
         parts.extend(main_work)
         parts.append("    pthread_join(t, 0);\n")
+        if self.read_run:
+            parts.append("    R = 1;\n")
         ret = rng.choice(self.globals) if rng.random() < 0.6 else "0"
         parts.append(f"    return {ret};\n}}\n")
         return "".join(parts)
 
 
-def generate_concurrent(seed: int) -> str:
-    return ConcurrentProgramGenerator(seed).program()
+def generate_concurrent(seed: int, read_run: bool = False) -> str:
+    return ConcurrentProgramGenerator(seed, read_run).program()

@@ -6,7 +6,7 @@ import pytest
 
 from racefixer import UnsupportedConstruct, explore, parse_report, parse_source
 from racefixer.detector import (
-    AccessRecord,
+    _site,
     hb_check,
     hybrid_verdict,
     lockset_check,
@@ -19,10 +19,9 @@ from conftest import corpus, within_seconds
 from oracle import all_races
 
 
-def record(variable="g", kind="write", thread=0, clock=(), locks=(),
-           line=1, column=1, function="main"):
-    return AccessRecord(variable, kind, thread, tuple(clock), frozenset(locks),
-                        SourceCoord(line, column), function)
+def access(kind="write", thread=0, clock=(), locks=(), line=1, column=1, function="main"):
+    return (thread, tuple(clock), frozenset(locks),
+            _site(kind, (line, column), function, 0))
 
 
 def hb_pairs(verdict) -> set:
@@ -227,37 +226,37 @@ int main() {
 
 class TestHbCheck:
     def test_incomparable_writes_race(self):
-        current = record(thread=0, clock=(1, 0))
-        prior = record(thread=1, clock=(0, 1))
-        assert len(hb_check(current, [prior])) == 1
+        current = access(thread=0, clock=(1, 0))
+        prior = access(thread=1, clock=(0, 1))
+        assert hb_check(current, [prior]) == [prior]
 
     def test_ordered_writes_do_not_race(self):
-        current = record(thread=0, clock=(2, 1))
-        prior = record(thread=1, clock=(1, 1))
+        current = access(thread=0, clock=(2, 1))
+        prior = access(thread=1, clock=(1, 1))
         assert hb_check(current, [prior]) == []
 
     def test_read_read_never_races(self):
-        current = record(kind="read", thread=0, clock=(1, 0))
-        prior = record(kind="read", thread=1, clock=(0, 1))
+        current = access(kind="read", thread=0, clock=(1, 0))
+        prior = access(kind="read", thread=1, clock=(0, 1))
         assert hb_check(current, [prior]) == []
 
 
 class TestLocksetCheck:
     def test_common_lock_keeps_quiet(self):
-        first = record(locks={"m"}, thread=0)
-        candidates, race = lockset_check(first, None, None)
-        assert race is None
-        candidates, race = lockset_check(record(locks={"m"}, thread=1), candidates, first)
-        assert race is None
-        assert candidates == frozenset({"m"})
+        first = access(locks={"m"}, thread=0, clock=(1, 0))
+        state, races = lockset_check(first, None)
+        assert races == []
+        state, races = lockset_check(access(locks={"m"}, thread=1, clock=(0, 1)), state)
+        assert races == []
+        assert state[1] == frozenset({"m"})
 
     def test_emptied_candidate_set_flags(self):
-        first = record(locks={"m"}, thread=0)
-        candidates, race = lockset_check(first, None, None)
-        assert race is None
-        candidates, race = lockset_check(record(locks=set(), thread=1), candidates, first)
-        assert race is not None
-        assert candidates == frozenset()
+        first = access(locks={"m"}, thread=0, clock=(1, 0))
+        state, races = lockset_check(first, None)
+        assert races == []
+        state, races = lockset_check(access(locks=set(), thread=1, clock=(0, 1)), state)
+        assert races == [first]
+        assert state[1] == frozenset()
 
     def test_single_threaded_no_locks_flagged(self):
         verdict = explore(parse_source(corpus("lockset_single.c")))
@@ -601,3 +600,28 @@ class TestModelValidation:
         )
         with pytest.raises(UnsupportedConstruct, match=f"^{where}: {message}$"):
             explore(parse_source(source))
+
+    @pytest.mark.parametrize("body, where, name", [
+        ("    int x = 1;\n    int x = 2;\n    G = x;\n", "10:9", "x"),
+        ("    pthread_t t;\n    pthread_t t;\n", "10:15", "t"),
+    ])
+    def test_redeclaration_in_one_block_rejected(self, body, where, name):
+        source = ("int G;\n\nvoid *W(void *arg) {\n    return 0;\n}\n\n"
+                  "int main() {\n    int y = 0;\n" + body + "    return 0;\n}\n")
+        with pytest.raises(UnsupportedConstruct,
+                           match=f"^{where}: '{name}' is already declared in this block$"):
+            explore(parse_source(source))
+
+    def test_parameter_redeclared_in_the_body_rejected(self):
+        source = ("int G;\n\nvoid *W(void *arg) {\n    int arg = 1;\n    G = arg;\n"
+                  "    return 0;\n}\n\nint main() {\n    return 0;\n}\n")
+        with pytest.raises(UnsupportedConstruct,
+                           match="^4:9: 'arg' is already declared in this block$"):
+            explore(parse_source(source))
+
+    def test_shadowing_in_a_nested_block_allowed(self):
+        source = ("int G;\n\nvoid *W(void *arg) {\n    { int arg = 2; G = arg; }\n"
+                  "    return 0;\n}\n\nint main() {\n    int x = 1;\n"
+                  "    { int x = 2; G = x; }\n    G = x;\n    return 0;\n}\n")
+        verdict = explore(parse_source(source))
+        assert verdict.explored == 1 and verdict.hb_races == ()

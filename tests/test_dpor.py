@@ -12,6 +12,7 @@ import time
 import pytest
 
 from racefixer import explore, parse_source
+from racefixer.detector import DEFAULT_STEP_BUDGET, _dependent, _Dpor, _Run, build_model
 
 from conftest import corpus_files
 from genconc import generate_concurrent
@@ -54,6 +55,21 @@ def private_counters(workers: int, increments: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def shared_counters(workers: int, increments: int) -> str:
+    """Each worker runs `G = G + 1` `increments` times."""
+    lines = ["int G;", ""]
+    for w in range(workers):
+        lines.append(f"void *W{w}(void *arg) {{")
+        lines += ["    G = G + 1;"] * increments
+        lines += ["    return 0;", "}", ""]
+    lines.append("int main() {")
+    lines += [f"    pthread_t t{w};" for w in range(workers)]
+    lines += [f"    pthread_create(&t{w}, 0, W{w}, 0);" for w in range(workers)]
+    lines += [f"    pthread_join(t{w}, 0);" for w in range(workers)]
+    lines += ["    return 0;", "}"]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
 def test_corpus_matches_exhaustive(path):
     assert_reduction_agrees(path.read_text(encoding="utf-8"))
@@ -64,11 +80,143 @@ def test_generated_programs_match_exhaustive(seed):
     assert_reduction_agrees(generate_concurrent(seed))
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_generated_read_runs_match_exhaustive(seed):
+    # two reads of R in either order before a write: both pairs must be
+    # flagged whichever order the one explored schedule has
+    source = generate_concurrent(seed, read_run=True)
+    verdict = assert_reduction_agrees(source)
+    lines = source.splitlines()
+    reads = [(n, 9) for n, line in enumerate(lines, 1) if line.endswith(" = R;")]
+    write = (lines.index("    R = 1;") + 1, 5)
+    pairs = {((a.line, a.column), (b.line, b.column))
+             for var, a, b in (r.key() for r in verdict.lockset_races) if var == "R"}
+    assert len(reads) == 2 and {(read, write) for read in reads} <= pairs
+
+
 @pytest.mark.parametrize("workers,increments", [(1, 1), (2, 0), (2, 1), (2, 2), (3, 0)])
 def test_private_counter_family_matches_exhaustive(workers, increments):
     verdict = assert_reduction_agrees(private_counters(workers, increments))
     assert len(verdict.hb_races) == workers * (workers - 1) // 2
     assert all(r.variable == "G" for r in verdict.hb_races)
+
+
+@pytest.mark.parametrize("workers,increments,explored", [(2, 2, 34), (3, 1, 36)])
+def test_shared_counter_family_runs_one_schedule_per_class(workers, increments, explored):
+    # Reads of G commute, so DPOR runs one schedule per class of schedules
+    # that differ only in the order of reads: the exact class counts.
+    verdict = assert_reduction_agrees(shared_counters(workers, increments))
+    assert verdict.explored == explored
+
+
+def test_four_shared_counters_run_one_schedule_per_class():
+    # Exhaustive search passes 50,000 schedules here without finishing, so
+    # the races are checked against their definition instead: every pair
+    # of accesses of two workers but two reads, and 22 lockset keys.
+    verdict = explore(parse_source(shared_counters(4, 1)))
+    assert verdict.explored == 576 and not verdict.truncated
+    lines = [4 + 5 * w for w in range(4)]  # each worker's G = G + 1
+    pairs = {(a, b) for i, a in enumerate(lines) for b in lines[i + 1:]}
+    expected = {(a, ca, b, cb) for a, b in pairs for ca, cb in [(5, 5), (5, 9), (9, 5)]}
+    assert {(a.line, a.column, b.line, b.column)
+            for _, a, b in (r.key() for r in verdict.hb_races)} == expected
+    assert len(verdict.lockset_races) == 22
+
+
+TWO_READERS = """\
+int X;
+int A;
+int B;
+
+void *R1(void *arg) {
+    A = X;
+    return 0;
+}
+
+void *R2(void *arg) {
+    B = X;
+    return 0;
+}
+
+int main() {
+    pthread_t t1;
+    pthread_t t2;
+    pthread_create(&t1, 0, R1, 0);
+    pthread_create(&t2, 0, R2, 0);
+    pthread_join(t1, 0);
+    pthread_join(t2, 0);
+    X = 1;
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("reduction", ["dpor", "none"])
+def test_write_after_two_unordered_reads_races_with_both(reduction):
+    # Either read can be the access just before the write, so Eraser flags
+    # both pairs; a schedule of one order must report the other too.
+    verdict = explore(parse_source(TWO_READERS), reduction=reduction)
+    keys = [(var, str(a), str(b)) for var, a, b in (r.key() for r in verdict.lockset_races)]
+    assert keys == [("X", "6:9", "22:5"), ("X", "11:9", "22:5")]
+    assert verdict.hb_races == ()
+
+
+SLEEPING_READ = """\
+int X;
+int Y;
+
+void *R(void *arg) {
+    Y = X;
+    return 0;
+}
+
+void *W(void *arg) {
+    Y = X;
+    X = 1;
+    return 0;
+}
+
+int main() {
+    pthread_t r;
+    pthread_t w;
+    pthread_create(&r, 0, R, 0);
+    pthread_create(&w, 0, W, 0);
+    pthread_join(r, 0);
+    pthread_join(w, 0);
+    return 0;
+}
+"""
+
+
+def test_sleeping_read_stays_asleep_across_a_read_and_wakes_at_a_write():
+    # R's read of X runs first; DPOR then runs W there instead, with R
+    # asleep.  W's read of X commutes with R's, so R sleeps on; W's write
+    # of X does not, so R wakes.
+    search = _Dpor()
+    steps = []  # (depth, thread, (kind, object), threads asleep) per step taken
+
+    def choose(run, enabled, pending):
+        step = search.choose(run, enabled, pending)
+        if step is not None:
+            steps.append((len(run.path), step.choice, step.op[:2], set(step.sleep or ())))
+        return step
+
+    run = _Run(build_model(parse_source(SLEEPING_READ)), DEFAULT_STEP_BUDGET, False, {}, {}, {})
+    while run is not None:
+        run.execute(choose)
+        run = search.advance(run)
+
+    def r_sleeps_after(op):
+        for (depth, tid, ran, asleep), (after, _, _, still) in zip(steps, steps[1:]):
+            if tid == 2 and ran == op and 1 in asleep and after == depth + 1:
+                return 1 in still
+        raise AssertionError(f"W never ran {op} while R slept")
+
+    assert r_sleeps_after(("read", "X"))
+    assert not r_sleeps_after(("write", "X"))
+    read_x = ("read", "X", ("var", "X"))
+    assert not _dependent(read_x, read_x)
+    assert _dependent(("write", "X", ("var", "X")), read_x)
 
 
 def test_blocked_lock_reversal_keeps_races():

@@ -103,10 +103,66 @@ class TestRunBuiltin:
         assert any("changes behavior" in n for n in report.iterations[0].notes)
 
 
+# The built-in fix of `deferred_race_program`: the else-if is detached into
+# the new else block, then locked there like any if.
+ELSE_IF_SPLIT_FIXED = """\
+int Mode;
+pthread_mutex_t __rf_mutex_Mode = PTHREAD_MUTEX_INITIALIZER;
+int Level;
+pthread_mutex_t __rf_mutex_Level = PTHREAD_MUTEX_INITIALIZER;
+
+void *Thread1(void *x) {
+    // lock added by RaceFixer
+    pthread_mutex_lock(&__rf_mutex_Level);
+    if (Level > 10) {
+        // unlock added by RaceFixer
+        pthread_mutex_unlock(&__rf_mutex_Level);
+        Level = 0;
+    } else {
+        // unlock added by RaceFixer
+        pthread_mutex_unlock(&__rf_mutex_Level);
+        // lock added by RaceFixer
+        pthread_mutex_lock(&__rf_mutex_Mode);
+        if (Mode) {
+            // unlock added by RaceFixer
+            pthread_mutex_unlock(&__rf_mutex_Mode);
+            // lock added by RaceFixer
+            pthread_mutex_lock(&__rf_mutex_Level);
+            Level = 1;
+            // unlock added by RaceFixer
+            pthread_mutex_unlock(&__rf_mutex_Level);
+        } else {
+            // unlock added by RaceFixer
+            pthread_mutex_unlock(&__rf_mutex_Mode);
+        }
+    }
+    return 0;
+}
+
+int main() {
+    pthread_t t;
+    pthread_create(&t, 0, Thread1, 0);
+    // lock added by RaceFixer
+    pthread_mutex_lock(&__rf_mutex_Mode);
+    Mode = 1;
+    // unlock added by RaceFixer
+    pthread_mutex_unlock(&__rf_mutex_Mode);
+    // lock added by RaceFixer
+    pthread_mutex_lock(&__rf_mutex_Level);
+    Level = 5;
+    // unlock added by RaceFixer
+    pthread_mutex_unlock(&__rf_mutex_Level);
+    pthread_join(t, 0);
+    return Level;
+}
+"""
+
+
 def deferred_race_program(tmp_path):
     """race_else_if.c plus a write of Level in main, and its report: the
     Mode read in the else-if condition conflicts with the Level patch of
-    that chain, so report mode skips it."""
+    that chain, and the Level patch of the detached if's body overlaps it,
+    so report mode skips both."""
     from racefixer.detector import render_tsan_log
 
     text = corpus("race_else_if.c").replace("    Mode = 1;\n",
@@ -226,17 +282,43 @@ class TestRunReportMode:
         report = run(FixConfig(source=str(source), detector="report",
                                reports=(str(log),)))
         assert report.log_lines() == [
-            "iteration=1 races=3 fixed=4 skipped=1",
+            "iteration=1 races=3 fixed=3 skipped=2",
             "status=NothingFixable",
         ]
-        (race, reason), = report.iterations[0].skipped
-        assert race.variable == "Mode" and SourceCoord(7, 16) in (race.first, race.second)
-        assert reason == "conflicts with an earlier patch"
-        assert report.final_text.count("pthread_mutex_lock(&__rf_mutex_Level);") == 3
-        # the built-in detector re-detects the Mode race and fixes it next round
+        (level, overlap), (mode, conflict) = report.iterations[0].skipped
+        assert level.variable == "Level" and SourceCoord(8, 9) in (level.first, level.second)
+        assert overlap == "edits overlap an earlier patch"
+        assert mode.variable == "Mode" and SourceCoord(7, 16) in (mode.first, mode.second)
+        assert conflict == "conflicts with an earlier patch"
+        assert report.final_text.count("pthread_mutex_lock(&__rf_mutex_Level);") == 2
+        # the built-in detector re-detects both races and fixes them next round
         builtin = run(FixConfig(source=str(source)))
         assert builtin.status == STATUS_CLEAN
         assert len(builtin.iterations) == 3
+        assert builtin.final_text == ELSE_IF_SPLIT_FIXED
+
+    def test_bracing_a_multi_line_branch_indents_it(self, tmp_path):
+        # the detached if moves into the new else block: its body one level
+        # below it, and each closing brace under the line that opens it
+        source, _ = deferred_race_program(tmp_path)
+        report = run(FixConfig(source=str(source), max_iterations=1))
+        assert report.final_text.split("void *Thread1(void *x) {\n")[1].split("int main")[0] == (
+            "    // lock added by RaceFixer\n"
+            "    pthread_mutex_lock(&__rf_mutex_Level);\n"
+            "    if (Level > 10) {\n"
+            "        // unlock added by RaceFixer\n"
+            "        pthread_mutex_unlock(&__rf_mutex_Level);\n"
+            "        Level = 0;\n"
+            "    } else {\n"
+            "        // unlock added by RaceFixer\n"
+            "        pthread_mutex_unlock(&__rf_mutex_Level);\n"
+            "        if (Mode) {\n"
+            "            Level = 1;\n"
+            "        }\n"
+            "    }\n"
+            "    return 0;\n"
+            "}\n\n"
+        )
 
     def test_report_mode_requires_reports(self):
         with pytest.raises(ValueError):
@@ -424,6 +506,7 @@ class TestCli:
         assert "skipped" not in quiet.err
         skipped = [line for line in verbose.err.splitlines() if "skipped" in line]
         assert skipped == [
+            "rf-fix: warning: skipped Level 8 9 17 5: edits overlap an earlier patch",
             "rf-fix: warning: skipped Mode 7 16 16 5: conflicts with an earlier patch",
         ]
 

@@ -26,88 +26,88 @@ from conftest import corpus_files
 from genconc import generate_concurrent
 
 EXPLORED_CORPUS = {
-    "adjacent_merge.c": 15, "chain3.c": 1, "clean_locked.c": 2, "comments_heavy.c": 66,
+    "adjacent_merge.c": 9, "chain3.c": 1, "clean_locked.c": 2, "comments_heavy.c": 36,
     "deadlock_abba.c": 3, "deadlock_user.c": 4, "decls.c": 1, "lockset_join.c": 1,
-    "lockset_single.c": 1, "loop_break.c": 2, "nested_while_merge.c": 136, "operators.c": 1,
+    "lockset_single.c": 1, "loop_break.c": 2, "nested_while_merge.c": 45, "operators.c": 1,
     "race_else_if.c": 2, "race_if_else.c": 2, "race_if_no_else.c": 2, "race_plain.c": 2,
-    "race_two_vars.c": 4, "race_while.c": 66, "return_race.c": 2, "self_deadlock.c": 1,
+    "race_two_vars.c": 4, "race_while.c": 26, "return_race.c": 2, "self_deadlock.c": 1,
     "single_line.c": 1, "unbraced.c": 1, "unlock_unheld.c": 1,
 }
 
 EXPLORED_GENCONC = [
-    6, 15, 21, 35, 6, 2, 6, 3, 4, 6, 1, 6, 3, 10, 6, 6, 13, 3, 3, 1,
-    2, 15, 7, 3, 1, 2, 1, 3, 3, 1, 6, 6, 2, 8, 3, 2, 2, 3, 4, 126,
-    4, 6, 2, 3, 3, 2, 3, 9, 3, 35, 12, 35, 2, 3, 10, 3, 1, 10, 4, 10,
+    6, 9, 21, 22, 6, 2, 6, 3, 4, 6, 1, 6, 3, 8, 6, 6, 13, 3, 3, 1,
+    2, 9, 5, 3, 1, 2, 1, 3, 3, 1, 6, 4, 2, 8, 3, 2, 2, 3, 4, 68,
+    4, 6, 2, 3, 3, 2, 3, 6, 2, 35, 6, 22, 2, 3, 10, 3, 1, 10, 4, 7,
 ]
 
 # `trace_digest` of every program, taken from the search that recomputed
 # happens-before over the whole path after each schedule.
 TRACES_CORPUS = {
-    "adjacent_merge.c": "7c01ad8287ca1733", "chain3.c": "97e22cfc8b6370f5",
-    "clean_locked.c": "8dcdd1318ddfa8ad", "comments_heavy.c": "90fd9328789c7e2c",
+    "adjacent_merge.c": "e907876e1c6d2b83", "chain3.c": "97e22cfc8b6370f5",
+    "clean_locked.c": "8dcdd1318ddfa8ad", "comments_heavy.c": "fba6cfb83c268558",
     "deadlock_abba.c": "a7afe6e4dad76b94", "deadlock_user.c": "f121119964530626",
     "decls.c": "097d0ee031110bd0", "lockset_join.c": "411e143335939750",
     "lockset_single.c": "70555c5d0b6aa48a", "loop_break.c": "58f205b04eb48ad3",
-    "nested_while_merge.c": "d9e648177c87ba18", "operators.c": "ff37adb3d9280cec",
+    "nested_while_merge.c": "7d4debba88e4adc1", "operators.c": "ff37adb3d9280cec",
     "race_else_if.c": "072071b3b64c9adb", "race_if_else.c": "bce472a58c9ce78e",
     "race_if_no_else.c": "c426cccefd86c01e", "race_plain.c": "0630be5ee4395b88",
-    "race_two_vars.c": "f6d0fd5fe71179b2", "race_while.c": "bd46dd817805d17c",
+    "race_two_vars.c": "f6d0fd5fe71179b2", "race_while.c": "7a309c478b3aa40b",
     "return_race.c": "d105bc571ca1a253", "self_deadlock.c": "c404cb4e30e8e1cb",
     "single_line.c": "7bdcb0e9a9b9ae94", "unbraced.c": "92a7ff89b9142641",
     "unlock_unheld.c": "e3b0c44298fc1c14",
 }
 
 TRACES_GENCONC = [
-    "9c261d63058094f3", "cfc2af919fefcc6b", "88bd180c4414b8d7", "531f9ed2b50ddd51",
+    "9c261d63058094f3", "e2ab7513b5335f0b", "88bd180c4414b8d7", "3516181315da08f0",
     "a7bed528abdba415", "9261e3c26318d2f7", "bd4e176a702aeca9", "b9a46b96e348c561",
     "2d3a3f5b326b87ce", "46ba80f6a587781e", "beab1702da2a09a5", "7504e61cd5b685db",
-    "464a3f951d92f1cf", "872feb059eb1262d", "111e3b72905a8761", "11bff057d17887f0",
+    "464a3f951d92f1cf", "0c8b2b34af4b494c", "111e3b72905a8761", "11bff057d17887f0",
     "81d90475aa91183e", "357f5f755a76b575", "d6e7ee8a6cedbb14", "6bd58e6f28e0fea9",
-    "c32ac1a9b75b0c11", "be40d4ff62cf8e22", "12b14e913ad5fd5d", "247e0e1bf49765d5",
+    "c32ac1a9b75b0c11", "bae8da53ecaa9bc1", "8eca2af7b74f4f66", "247e0e1bf49765d5",
     "45d4927dd6a85f11", "3f90956b3f95c71a", "cf432d1cfffb71c0", "ba09113de2839927",
-    "87d3ceab2879f5ba", "822773580d27da90", "c0ac425bbab1f15c", "636c491965296053",
+    "87d3ceab2879f5ba", "822773580d27da90", "c0ac425bbab1f15c", "e36d56bb943e412e",
     "49a824e8a512d83b", "fd4a0cf5cbe0df47", "82fbe8020799345b", "c224aeda75bc2809",
-    "f3ac2e006080be9c", "24ed2d6aaade3c6c", "d7cab29b6021178e", "29b40c2d83d2a130",
+    "f3ac2e006080be9c", "24ed2d6aaade3c6c", "d7cab29b6021178e", "f4dcf040a4d95b0e",
     "f53c6ff4dc6f83a0", "f432edd77158671b", "2ba952bc68892962", "ef1f3b0f4c0bac94",
-    "9eabe45c15db73b3", "fd18804a03f4081c", "7e894850eea54508", "85a72084ee863982",
-    "15ff35c49fb7eddb", "ee4a6b7fcdf8584f", "f0bed3a989b423bc", "4f1cf813e60cc51d",
+    "9eabe45c15db73b3", "fd18804a03f4081c", "7e894850eea54508", "c386f2a3082374ce",
+    "5646e7e009ba76a1", "ee4a6b7fcdf8584f", "96181a3b5189503b", "721a50e440b2160c",
     "07c529173aacf285", "0d35fe831e11431a", "025d1b3e348a2d2f", "d5fd0746eb89e998",
-    "2e9d076d255dc2e1", "7d16abe7bdc2057c", "289ef27eda0b9ee3", "dc03e31b8dedf8a2",
+    "2e9d076d255dc2e1", "7d16abe7bdc2057c", "289ef27eda0b9ee3", "a64da5f22f3992a1",
 ]
 
 # `verdict_digest` of every program, taken before races and diagnostics
 # were kept by key as they are found.
 VERDICTS_CORPUS = {
-    "adjacent_merge.c": "addf7e08868f8cff", "chain3.c": "1d9f5672f27d08ad",
-    "clean_locked.c": "eb1ec3c56466bd40", "comments_heavy.c": "0d2d7a526b5a5b17",
+    "adjacent_merge.c": "5a9c7b8d487a9f27", "chain3.c": "1d9f5672f27d08ad",
+    "clean_locked.c": "eb1ec3c56466bd40", "comments_heavy.c": "9c97aaa18d67ee88",
     "deadlock_abba.c": "756e3a8e20072306", "deadlock_user.c": "97283c9467cca9fd",
     "decls.c": "cd4780d75e124dbc", "lockset_join.c": "e0823b1b99478a3c",
     "lockset_single.c": "54fe554c8cac36bb", "loop_break.c": "d677bbd1fc5190e5",
-    "nested_while_merge.c": "b584066f2b6f7781", "operators.c": "70b7594b452e0396",
+    "nested_while_merge.c": "f5293c5e63cc0016", "operators.c": "70b7594b452e0396",
     "race_else_if.c": "9bd68fc0b0379cf7", "race_if_else.c": "3b6c711f7c295e78",
     "race_if_no_else.c": "cc2019137e31ac41", "race_plain.c": "da5039112b794a12",
-    "race_two_vars.c": "dfadbde1907bde65", "race_while.c": "7e6bf11cc7f51d46",
+    "race_two_vars.c": "dfadbde1907bde65", "race_while.c": "0255f894984dbd0e",
     "return_race.c": "8d7d36d73dfed457", "self_deadlock.c": "30553280b7d84e8a",
     "single_line.c": "259c649e678d56b4", "unbraced.c": "952cc95d9b080a17",
     "unlock_unheld.c": "1d39a23266e67a1e",
 }
 
 VERDICTS_GENCONC = [
-    "2c64c174708b3cb2", "45cc21ffe5eaea62", "371bf2801cbfdee3", "d2dc7f6a9515a390",
+    "2c64c174708b3cb2", "c2a5b0fa4c6a5d83", "371bf2801cbfdee3", "b876daf78181bc06",
     "345cfdb5fe78f4ea", "571845d4583a77b5", "52273be96eb7f825", "0cbe2cfddc3ac248",
     "d11bf711bc7ad321", "058b8dcdb7c966d0", "8b36a3eaa9e91915", "cec4082ce296ed61",
-    "9516fc666fc300d0", "2064dd35d70e28a1", "5281c197fbd58104", "dd375eb850e2361a",
+    "9516fc666fc300d0", "e001b96e797f3736", "5281c197fbd58104", "dd375eb850e2361a",
     "39ca4624a88de510", "2dcf5c96a659d917", "f35e72e14f35eae0", "3c8b8e768114ec37",
-    "cc321bf1f171e3a2", "33d990a772fa4bc0", "86e017424bc5a88a", "1fc4ba7236750978",
+    "cc321bf1f171e3a2", "8a0d371b34f32fc9", "087deaac464ba6c0", "1fc4ba7236750978",
     "3b6ad18e4462ace5", "9a011cc74d6dc256", "dbd7451bcac958c3", "3864ef4c3256920a",
-    "ebab1eab2165e1ff", "e6cbc6b2458fc906", "d28e7670073dc5dc", "c82b2a1a5c207d29",
+    "ebab1eab2165e1ff", "e6cbc6b2458fc906", "d28e7670073dc5dc", "04a22b22f11a065d",
     "5ddf18649751fd26", "0d7633745a07c8b5", "59eb420dfe72c544", "618cd1dc4af59bb0",
-    "79e566a9ddc3ae61", "ad43b0e84f795d5d", "358ad3a309e07ce1", "76fdbc299359fce9",
+    "79e566a9ddc3ae61", "ad43b0e84f795d5d", "358ad3a309e07ce1", "4954b74721388d5e",
     "d545f3c625098a62", "c0052667e8f9eacd", "eac3f670c1f8cf9c", "078983e1008f179e",
-    "175b665d9f6a5034", "6ed67d01140954a4", "fe639738b424ec38", "e58345ca73e288dd",
-    "06d7b653aa28319d", "3c921feddfff8ea3", "718fffac507676f5", "874132d0092735be",
+    "175b665d9f6a5034", "6ed67d01140954a4", "fe639738b424ec38", "c2a21f3f2d9cadb3",
+    "bdea959160eae3dc", "3c921feddfff8ea3", "b1be59e2ff8e0a7a", "e9186088e65154bf",
     "1b67eabc88b67b8e", "da5d3c5adca51872", "71f6f8e13e2a1332", "d2cf9df8a7fd3b5d",
-    "85f5f9f9ac17f9b9", "3fe6b5ff11eaad3b", "064e06a41c49673f", "26f0b64f907bbb16",
+    "85f5f9f9ac17f9b9", "3fe6b5ff11eaad3b", "064e06a41c49673f", "77e717d352b6e6bc",
 ]
 
 # The child faults as soon as it is created, and main then locks a
@@ -251,12 +251,11 @@ int main() {
 
 
 def run_state(run: _Run) -> tuple:
-    accessed = {var for var, history in run.histories.items() if history}
     return (
         run.trace, run.deadlock,
         run.aborted, run.budget_exceeded, run.globals_, run.mutex_owner, run.mutex_clock,
-        {var: run.histories[var] for var in accessed},
-        {var: run.candidates[var] for var in accessed},
+        # accesses in order
+        {var: (list(v.accesses.items()), v.lockset) for var, v in run.variables.items()},
         [(t.tid, t.function, t.pc, t.stack, t.env, t.clock, t.held, t.pending, t.steps)
          for t in run.threads],
     )
@@ -315,7 +314,7 @@ def test_generated_restores_match_fresh_runs(seed):
     assert_restored_runs_match_fresh_ones(generate_concurrent(seed), EXPLORED_GENCONC[seed])
 
 
-@pytest.mark.parametrize("source,explored", [(LOCALS, 24), (CREATE_AFTER_RACE, 3)],
+@pytest.mark.parametrize("source,explored", [(LOCALS, 7), (CREATE_AFTER_RACE, 3)],
                          ids=["locals", "create_after_race"])
 def test_restores_match_fresh_runs(source, explored):
     assert_restored_runs_match_fresh_ones(source, explored)
@@ -340,7 +339,7 @@ def test_generated_schedules_are_pinned(seed):
 
 
 @pytest.mark.parametrize("source,digest,explored", [
-    (LOCALS, "99818e18791594d5", 24),
+    (LOCALS, "5aa6db99391232f3", 7),
     (CREATE_AFTER_RACE, "f692af3cfe51e03f", 3),
     (TWO_WORKERS, "7783ecc61a64c460", 6),
     (LATE_CHILD, "897579329754cf24", 4),
