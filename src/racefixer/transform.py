@@ -22,7 +22,7 @@ sections.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cst import (
     ADDR_OF,
@@ -94,6 +94,7 @@ class Patch:
     edits: list[TextEdit] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     region: tuple[int, int] = (0, 0)  # source span the template reshapes
+    moved: list[tuple[int, int]] = field(default_factory=list)  # braced branches that move in
 
     @property
     def empty(self) -> bool:
@@ -111,6 +112,11 @@ class CoalesceResult:
 # Layout helpers
 # ---------------------------------------------------------------------------
 
+# The end of a line's indentation, for each line after the first that holds more.
+_INNER_LINE_RE = re.compile(r"\n[ \t]*(?=[^ \t\r\n])")
+# A line break that something follows.
+_LINE_BREAK_RE = re.compile(r"\n(?=[^\n])")
+
 
 def _line_start(text: str, offset: int) -> int:
     return text.rfind("\n", 0, offset) + 1
@@ -126,6 +132,15 @@ def _line_indent(text: str, offset: int) -> str:
 
 def _starts_its_line(text: str, offset: int) -> bool:
     return text[_line_start(text, offset) : offset].strip() == ""
+
+
+def _shift(edit: TextEdit, text: str, indent: str) -> TextEdit:
+    """`edit` with `indent` added to each line it starts: an edit inside a
+    branch that moves in by `indent` moves in with it."""
+    if not edit.replacement:
+        return edit
+    lead = indent if text[edit.start - 1] == "\n" else ""
+    return replace(edit, replacement=lead + _LINE_BREAK_RE.sub("\n" + indent, edit.replacement))
 
 
 def indent_unit(text: str) -> str:
@@ -263,31 +278,33 @@ def _unlock_after(text: str, stmt: CstNode, plan: MutexPlan, order_col: int) -> 
                     anchor=end, order_col=order_col)
 
 
-def _branch_entry_unlock(text: str, branch: CstNode, plan: MutexPlan,
-                         anchor_ind: str, unit: str, order_col: int) -> list[TextEdit]:
-    """Unlock as the first statement of a branch, bracing it if needed."""
+def _branch_entry_unlock(patch: Patch, text: str, branch: CstNode, anchor_ind: str,
+                         unit: str, order_col: int) -> None:
+    """Unlock as the first statement of a branch, bracing it if needed.
+
+    A braced branch that shares its first line with the ``if``, ``else`` or
+    ``while`` moves to its own line inside the new block, so each of its
+    other lines moves one level in; `coalesce` moves the edits other
+    patches make inside it along with it.
+    """
+    plan = patch.mutex
     body_ind = anchor_ind + unit
     if branch.kind == COMPOUND_STMT:
         pos = branch.lbrace.end
         block = f"\n{body_ind}{UNLOCK_MARKER}\n{body_ind}{plan.unlock_call}"
-        return [TextEdit(pos, pos, block, kind="unlock", mutex=plan.mutex_name,
-                         anchor=pos, order_col=order_col)]
-    open_block = f"{{\n{body_ind}{UNLOCK_MARKER}\n{body_ind}{plan.unlock_call}\n{body_ind}"
-    close_block = f"\n{anchor_ind}}}"
+        patch.edits.append(TextEdit(pos, pos, block, kind="unlock", mutex=plan.mutex_name,
+                                    anchor=pos, order_col=order_col))
+        return
     start, end = branch.span.start_offset, branch.span.end_offset
-    lines = text[start:end].split("\n")
-    if len(lines) == 1:
-        opening = TextEdit(start, start, open_block, kind="brace_unlock",
-                           mutex=plan.mutex_name, anchor=start, order_col=order_col)
-    else:
-        # The branch moves to its own line inside the new block, so its
-        # other lines move one level in too.  The edit replaces the branch,
-        # which keeps other patches out of it until the next round.
-        moved = "\n".join([lines[0]] + [unit + line if line.strip() else line
-                                        for line in lines[1:]])
-        opening = TextEdit(start, end, open_block + moved, kind="brace_unlock",
-                           mutex=plan.mutex_name, anchor=start, order_col=order_col)
-    return [opening, TextEdit(end, end, close_block, kind="brace", anchor=end, order_col=order_col)]
+    open_block = f"{{\n{body_ind}{UNLOCK_MARKER}\n{body_ind}{plan.unlock_call}\n{body_ind}"
+    patch.edits.append(TextEdit(start, start, open_block, kind="brace_unlock",
+                                mutex=plan.mutex_name, anchor=start, order_col=order_col))
+    if not _starts_its_line(text, start):
+        patch.edits.extend(TextEdit(m.end(), m.end(), unit, kind="indent")
+                           for m in _INNER_LINE_RE.finditer(text, start, end))
+        patch.moved.append((start, end))
+    patch.edits.append(TextEdit(end, end, f"\n{anchor_ind}}}", kind="brace", anchor=end,
+                                order_col=order_col))
 
 
 def _refold_close(patch: Patch, before: str, after: str, kind: str, col: int) -> None:
@@ -305,9 +322,9 @@ def _unlock_both_arms(patch: Patch, text: str, ifnode: CstNode, ind: str, unit: 
     """Unlock first in both branches of `ifnode`; without an else, append
     one whose only job is to release the lock."""
     mutex = patch.mutex
-    patch.edits.extend(_branch_entry_unlock(text, ifnode.then, mutex, ind, unit, col))
+    _branch_entry_unlock(patch, text, ifnode.then, ind, unit, col)
     if ifnode.els is not None:
-        patch.edits.extend(_branch_entry_unlock(text, ifnode.els, mutex, ind, unit, col))
+        _branch_entry_unlock(patch, text, ifnode.els, ind, unit, col)
         return
     body_ind = ind + unit
     synth = f" else {{\n{body_ind}{UNLOCK_MARKER}\n{body_ind}{mutex.unlock_call}\n{ind}}}"
@@ -453,7 +470,7 @@ def fix_while(handle: StatementHandle, mutex: MutexPlan) -> Patch:
     relock = f"{body_ind}{LOCK_MARKER}\n{body_ind}{mutex.lock_call}"
 
     patch.edits.append(_lock_before(text, w, mutex, col))
-    patch.edits.extend(_branch_entry_unlock(text, w.body, mutex, ind, unit, col))
+    _branch_entry_unlock(patch, text, w.body, ind, unit, col)
     if w.body.kind != COMPOUND_STMT:
         # relock and the unlock after the loop share the new closing brace's offset
         _refold_close(patch, f"\n{relock}", f"\n{ind}{UNLOCK_MARKER}\n{ind}{mutex.unlock_call}",
@@ -547,13 +564,22 @@ def coalesce(patches: list[Patch], text: str) -> CoalesceResult:
         if plan.decl_insertion is not None:
             decls.setdefault(plan.mutex_name, plan.decl_insertion)
 
+    # An edit inside a branch that another patch braces moves in with it.
+    unit = indent_unit(text)
+    moved = [(patch, start, end) for patch in accepted for start, end in patch.moved]
     edits = list(decls.values())
     for patch in accepted:
-        edits.extend(patch.edits)
+        for edit in patch.edits:
+            levels = sum(start < edit.start <= end for owner, start, end in moved
+                         if owner is not patch)
+            edits.append(_shift(edit, text, unit * levels) if levels else edit)
     edits.sort(key=lambda e: (e.start, e.sort_anchor, e.order_col))
 
     # Cancel unlock/lock pairs with nothing but whitespace or comments
-    # between them; repeat until no adjacent pair remains.
+    # between them; repeat until no adjacent pair remains.  The indents of
+    # moved lines between them do not count.
+    indents = [e for e in edits if e.kind == "indent"]
+    edits = [e for e in edits if e.kind != "indent"]
     changed = True
     while changed:
         changed = False
@@ -570,6 +596,7 @@ def coalesce(patches: list[Patch], text: str) -> CoalesceResult:
                 del edits[i]
                 changed = True
                 break
+    edits = sorted(edits + indents, key=lambda e: (e.start, e.sort_anchor, e.order_col))
 
     return CoalesceResult(accepted, deferred, edits)
 

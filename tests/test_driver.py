@@ -161,8 +161,7 @@ int main() {
 def deferred_race_program(tmp_path):
     """race_else_if.c plus a write of Level in main, and its report: the
     Mode read in the else-if condition conflicts with the Level patch of
-    that chain, and the Level patch of the detached if's body overlaps it,
-    so report mode skips both."""
+    that chain, so report mode skips it."""
     from racefixer.detector import render_tsan_log
 
     text = corpus("race_else_if.c").replace("    Mode = 1;\n",
@@ -282,16 +281,14 @@ class TestRunReportMode:
         report = run(FixConfig(source=str(source), detector="report",
                                reports=(str(log),)))
         assert report.log_lines() == [
-            "iteration=1 races=3 fixed=3 skipped=2",
+            "iteration=1 races=3 fixed=4 skipped=1",
             "status=NothingFixable",
         ]
-        (level, overlap), (mode, conflict) = report.iterations[0].skipped
-        assert level.variable == "Level" and SourceCoord(8, 9) in (level.first, level.second)
-        assert overlap == "edits overlap an earlier patch"
-        assert mode.variable == "Mode" and SourceCoord(7, 16) in (mode.first, mode.second)
-        assert conflict == "conflicts with an earlier patch"
-        assert report.final_text.count("pthread_mutex_lock(&__rf_mutex_Level);") == 2
-        # the built-in detector re-detects both races and fixes them next round
+        (race, reason), = report.iterations[0].skipped
+        assert race.variable == "Mode" and SourceCoord(7, 16) in (race.first, race.second)
+        assert reason == "conflicts with an earlier patch"
+        assert report.final_text.count("pthread_mutex_lock(&__rf_mutex_Level);") == 3
+        # the built-in detector re-detects the Mode race and fixes it next round
         builtin = run(FixConfig(source=str(source)))
         assert builtin.status == STATUS_CLEAN
         assert len(builtin.iterations) == 3
@@ -299,7 +296,8 @@ class TestRunReportMode:
 
     def test_bracing_a_multi_line_branch_indents_it(self, tmp_path):
         # the detached if moves into the new else block: its body one level
-        # below it, and each closing brace under the line that opens it
+        # below it, the Level lock made in the same round with it, and each
+        # closing brace under the line that opens it
         source, _ = deferred_race_program(tmp_path)
         report = run(FixConfig(source=str(source), max_iterations=1))
         assert report.final_text.split("void *Thread1(void *x) {\n")[1].split("int main")[0] == (
@@ -313,7 +311,11 @@ class TestRunReportMode:
             "        // unlock added by RaceFixer\n"
             "        pthread_mutex_unlock(&__rf_mutex_Level);\n"
             "        if (Mode) {\n"
+            "            // lock added by RaceFixer\n"
+            "            pthread_mutex_lock(&__rf_mutex_Level);\n"
             "            Level = 1;\n"
+            "            // unlock added by RaceFixer\n"
+            "            pthread_mutex_unlock(&__rf_mutex_Level);\n"
             "        }\n"
             "    }\n"
             "    return 0;\n"
@@ -506,7 +508,6 @@ class TestCli:
         assert "skipped" not in quiet.err
         skipped = [line for line in verbose.err.splitlines() if "skipped" in line]
         assert skipped == [
-            "rf-fix: warning: skipped Level 8 9 17 5: edits overlap an earlier patch",
             "rf-fix: warning: skipped Mode 7 16 16 5: conflicts with an earlier patch",
         ]
 

@@ -441,6 +441,57 @@ class TestCoalesce:
         result = coalesce(patches, source)
         assert len(result.patches) == 1
 
+    def test_edits_in_a_braced_branch_move_in_with_it(self):
+        # the inner if shares the outer if's line, so bracing moves it and its
+        # body one level in, the merged Count section included; the while
+        # body already starts its own line, so it and its Count lock stay
+        source = (
+            "int Flag;\nint Count;\n\nvoid *Worker(void *x) {\n"
+            "    if (Flag) if (Count) {\n"
+            "        Count = 0;\n"
+            "        // reset\n"
+            "        Count = 2;\n"
+            "    }\n"
+            "    while (Flag)\n"
+            "        if (Count) {\n"
+            "            Count = 1;\n"
+            "        }\n"
+            "    return 0;\n}\n"
+        )
+        tree = parse_source(source)
+        patches = [fixer(locate(tree, var, coord), plan_mutex(var, tree))
+                   for var, coord, fixer in [("Flag", SourceCoord(5, 9), fix_if_without_else),
+                                             ("Count", SourceCoord(6, 9), fix_plain),
+                                             ("Count", SourceCoord(8, 9), fix_plain),
+                                             ("Flag", SourceCoord(10, 12), fix_while),
+                                             ("Count", SourceCoord(12, 13), fix_plain)]]
+        result = coalesce(patches, source)
+        assert len(result.patches) == 5
+        patched = apply_edits(source, result.edits)
+        assert check_lock_balance(parse_source(patched)) == []
+        assert patched.split("    if (Flag) {\n")[1].split("    } else {\n")[0] == (
+            "        // unlock added by RaceFixer\n"
+            "        pthread_mutex_unlock(&__rf_mutex_Flag);\n"
+            "        if (Count) {\n"
+            "            // lock added by RaceFixer\n"
+            "            pthread_mutex_lock(&__rf_mutex_Count);\n"
+            "            Count = 0;\n"
+            "            // reset\n"
+            "            Count = 2;\n"
+            "            // unlock added by RaceFixer\n"
+            "            pthread_mutex_unlock(&__rf_mutex_Count);\n"
+            "        }\n"
+        )
+        assert (
+            "        if (Count) {\n"
+            "            // lock added by RaceFixer\n"
+            "            pthread_mutex_lock(&__rf_mutex_Count);\n"
+            "            Count = 1;\n"
+            "            // unlock added by RaceFixer\n"
+            "            pthread_mutex_unlock(&__rf_mutex_Count);\n"
+            "        }\n"
+        ) in patched
+
     def test_one_declaration_per_variable(self):
         source = corpus("adjacent_merge.c")
         patches, _ = self._plain_patches(source, "Sum",
