@@ -1,21 +1,29 @@
 """Execution-exploring race detector for the C subset.
 
 Each function is compiled once into a flat list of instructions, and a
-deterministic interpreter runs every thread up to its next shared
-operation; a depth-first scheduler enumerates thread interleavings up to a
-configurable bound of schedules.  Compiling resolves each name, with C
-block scoping, and checks each call: what the interpreter does not model
-is an `UnsupportedConstruct` before any schedule runs.  By default it
+deterministic interpreter runs every thread up to its next visible
+operation, one that another thread can observe; a depth-first scheduler
+enumerates interleavings of those up to a configurable bound of
+schedules.  Compiling resolves each name, with C block scoping, and
+checks each call: what the interpreter does not model is an
+`UnsupportedConstruct` before any schedule runs.  By default the search
 uses dynamic partial-order reduction (Flanagan & Godefroid, POPL 2005)
 with sleep sets: as each operation runs it extends happens-before over
 the current schedule, and the search branches only where two dependent
-operations of different threads could run in the other order.  Operations are
-dependent when they touch the same variable and not both only read it,
-the same mutex, or are both thread creations.  Schedules that differ only
-in the order of independent operations give the same races, lockset
-results, deadlocks and diagnostics, so one of them is enough; the bound
-therefore counts reduced schedules.  ``reduction="none"`` branches at every operation and
-is kept as the test oracle for the reduction.  Along each schedule the
+operations of different threads could run in the other order.
+Operations are dependent when they touch the same variable and not both
+only read it, the same mutex, or are both thread creations.  Schedules
+that differ only in the order of independent operations give the same
+races, lockset results, deadlocks and diagnostics, so one of them is
+enough; the bound therefore counts reduced schedules.  An access to a
+global that only one thread can touch is not visible (VeriSoft,
+Godefroid, POPL 1997), so under DPOR it runs as local code: such a global
+is named in one function only, and that function runs at most once.
+``reduction="none"`` branches at every operation, every access to a
+global included, and is kept as the test oracle for both.  A fault in
+local code (a division or modulo by zero, a thread past its step budget)
+is the thread's pending operation: it ends the run when that thread is
+scheduled, and the other threads run until then.  Along each schedule the
 detector keeps:
 
 * a vector clock per thread, advanced over lock/unlock/create/join
@@ -319,6 +327,14 @@ class _ProgramFault(Exception):
     """A division or modulo by zero inside one schedule."""
 
 
+# What the scheduler sees of a pending fault: it touches nothing that
+# another thread does, so it has no conflict key.
+_FAULT = ("fault", None, None)
+# A thread's pending fault is ("fault", message, _FAULT); a message of
+# None means the thread is past the step budget.
+_OVERRUN = ("fault", None, _FAULT)
+
+
 @dataclass
 class _Model:
     globals_: dict
@@ -402,14 +418,19 @@ class _Compiler:
     ``("unary", function)``, ``("binary", function)``, ``("pop",)``,
     ``("load", slot)``, ``("set", slot)``, ``("decl", slot)``,
     ``("jump", pc)``, ``("branch", pc, if_nonzero)``, ``("loop", pc)`` (a
-    jump back to a loop's condition) and ``("return",)``.  The shared ones
-    are ``("read", global, site, op)``, ``("store", global, site, op)``
-    (see `_site`),
+    jump back to a loop's condition) and ``("return",)``; so are
+    ``("local_read", global, site)`` and ``("local_store", global, site)``,
+    which `localize` makes of the accesses to a global no other thread
+    can touch.  The shared ones, the scheduling points, are ``("read",
+    global, site, op)``, ``("store", global, site, op)`` (see `_site`),
     ``("lock", mutex, coord, op)``, ``("unlock", mutex, coord, op)``,
     ``("create", function, coord, slot, op)`` and ``("join", slot,
     coord)``.  `op` is what the scheduler sees of the operation, (kind,
     object, conflict key); see `_Step`.  A join's op needs the thread id
     its handle holds, so it is made when the join becomes pending.
+
+    Compiling also notes which functions name each global (`users`) and
+    every ``pthread_create`` as (target, creator, inside a while).
     """
 
     def __init__(self, globals_: dict, mutexes: frozenset, functions: dict):
@@ -418,6 +439,8 @@ class _Compiler:
         self.functions = functions
         self.name = ""  # of the function being compiled
         self.sites = 0  # reads and stores compiled so far
+        self.users: dict = {}  # global -> the functions that name it
+        self.creates: list = []  # (target, creator, inside a while) per pthread_create
         self.code: list = []
         self.loops: list = []  # (condition pc, [pcs of the jumps out]) per open while
         self.names: dict = {}
@@ -440,6 +463,7 @@ class _Compiler:
             return ("load" if ins == "read" else "set", self.names[name])
         if name not in self.globals_:
             raise _reject(ident.token, f"unknown identifier '{name}'")
+        self.users.setdefault(name, set()).add(self.name)
         kind = "write" if ins == "store" else "read"
         self.sites += 1
         place = (ident.token.line, ident.token.column)
@@ -578,6 +602,7 @@ class _Compiler:
             if args[0].kind != cst.ADDR_OF:
                 raise _reject(where, "pthread_create expects &handle as its first argument")
             handle = self.handle(args[0].operand)
+            self.creates.append((target, self.name, bool(self.loops)))
             for arg in (args[1], args[3]):
                 self.expr(arg)
                 emit(("pop",))
@@ -593,9 +618,31 @@ class _Compiler:
         else:
             raise _reject(where, f"call to unsupported function '{name}'")
 
+    def localize(self, functions: dict) -> None:
+        """Make each access to a thread-local global in the compiled
+        `functions` a local instruction.  A global is thread-local when it
+        is named in one function only and that function runs at most once:
+        `main` does, and so does the target of exactly one
+        ``pthread_create`` that is outside every while and in a function
+        that runs at most once (a least fixed point from `main`).  A
+        function created once by a function that runs twice runs twice."""
+        targets = [target for target, _, _ in self.creates]
+        creator = {target: by for target, by, looped in self.creates
+                   if not looped and targets.count(target) == 1}
+        once = {"main"}
+        while more := {target for target, by in creator.items() if by in once} - once:
+            once |= more
+        private = {name for name, users in self.users.items() if len(users) == 1 and users <= once}
+        for code in functions.values():
+            for pc, ins in enumerate(code):
+                if ins[0] in ("read", "store") and ins[1] in private:
+                    code[pc] = ("local_" + ins[0], ins[1], ins[2])
 
-def build_model(tree: CstNode) -> _Model:
-    """Static validation of the translation unit, and its compiled code."""
+
+def build_model(tree: CstNode, local: bool = True) -> _Model:
+    """Static validation of the translation unit, and its compiled code.
+    With `local`, an access to a global that only one thread can touch is
+    local code, not a scheduling point (`_Compiler.localize`)."""
     globals_: dict = {}
     mutexes: set = set()
     bodies: dict = {}
@@ -613,6 +660,8 @@ def build_model(tree: CstNode) -> _Model:
         raise UnsupportedConstruct(f"'{clash[0]}' is declared both as an int and as a mutex")
     compiler = _Compiler(globals_, frozenset(mutexes), bodies)
     functions = {name: compiler.function(func) for name, func in bodies.items()}
+    if local:
+        compiler.localize(functions)
     return _Model(globals_, frozenset(mutexes), functions)
 
 
@@ -628,7 +677,8 @@ class _Step:
     not None and they are not both reads: ("var", name) for a read or
     write, ("mutex", name) for a lock or unlock, and "create" for every
     create, since thread ids are assigned in creation order.  A join has
-    no key, since its happens-before edge from the target orders it.
+    no key, since its happens-before edge from the target orders it, and
+    neither has a fault, which `_Dpor`'s rule for an aborted run covers.
 
     DPOR also keeps the threads a race says to try from here
     (`backtrack`, None for none), those that need not be (`sleep`, tid ->
@@ -652,9 +702,10 @@ class _Step:
 
 class _Thread:
     """One thread: where it is in its function's code, its operand stack
-    and variables, and its scheduling state.  `pending` is the shared
-    operation it waits to run, None once it has finished; its last item
-    is what the scheduler sees of it, (kind, object, conflict key).
+    and variables, and its scheduling state.  `pending` is the visible
+    operation or the fault it waits to run, None once it has finished;
+    its last item is what the scheduler sees of it, (kind, object,
+    conflict key).
     `clock` orders its accesses for the race check.  `dpor` and `since`
     are DPOR's clock for the thread and the step at which its operation
     became pending; `dpor` is None until DPOR has started or ordered the
@@ -803,9 +854,14 @@ class _Run:
         """Run `thread`'s local instructions up to its next shared
         operation, after pushing `result`, the value of the one it ran.
 
-        Names and calls were checked when compiled.  Loop iterations
-        since the last shared operation count against the step budget, so
-        a loop that never touches shared state ends too.
+        Names and calls were checked when compiled.  A local access to a
+        global counts one step against the step budget, as a shared one
+        does, and ends a run of loop iterations as a shared one does.
+        Loop iterations since the last access to a global count against
+        the budget too, so a loop that touches no global ends.
+        A division or modulo by zero, or a thread past its budget, becomes
+        the thread's pending fault, which ends the run when it is
+        scheduled: until then the other threads run on.
         """
         code, stack, env = thread.code, thread.stack, thread.env
         if result is not None:
@@ -839,12 +895,25 @@ class _Run:
                         pc = ins[1]
                 elif op == "jump":
                     pc = ins[1]
+                elif op == "local_read" or op == "local_store":
+                    thread.steps += 1
+                    if thread.steps > self.step_budget:
+                        thread.pending = _OVERRUN
+                        break
+                    iterations = 0
+                    var = ins[1]
+                    if op == "local_read":
+                        stack.append(self.globals_[var])
+                    else:
+                        self.trail.append((dict.__setitem__, self.globals_, var,
+                                           self.globals_[var]))
+                        self.globals_[var] = stack[-1]
+                    self._note_local(thread, var, ins[2])
                 elif op == "loop":
                     iterations += 1
                     if iterations > self.step_budget:
-                        self._over_budget(thread)
-                        thread.pending = None
-                        return
+                        thread.pending = _OVERRUN
+                        break
                     pc = ins[1]
                 elif op == "decl":
                     env[ins[1]] = stack.pop()
@@ -862,16 +931,13 @@ class _Run:
                     return
                 else:  # lock, unlock, create
                     thread.pending = ins
-                    if op == "lock" and ins[1] in thread.held and not self.aborted:
+                    if op == "lock" and ins[1] in thread.held:
                         # stuck for good: only this thread could unlock it
                         self._diag("error", f"thread {thread.tid} locks '{ins[1]}' which it "
                                             "already holds (self-deadlock)")
                     break
         except _ProgramFault as fault:
-            self._diag("error", f"thread {thread.tid}: {fault}")
-            self.aborted = True
-            thread.pending = None
-            return
+            thread.pending = ("fault", str(fault), _FAULT)
         thread.pc = pc
 
     def _enabled(self, thread: _Thread) -> bool:
@@ -885,6 +951,18 @@ class _Run:
                 return self.threads[target].pending is None
             return True  # invalid handle: fault when executed
         return True
+
+    def _note_local(self, thread: _Thread, var: str, site: tuple) -> None:
+        """The lockset check of a thread-local access.  No other thread
+        touches the global, so it has no happens-before race and keeps no
+        access for one, and as local code it is not traced."""
+        access = (thread.tid, thread.clock, thread.held, site)
+        variable = self.variables[var]
+        before = variable.lockset
+        variable.lockset, races = lockset_check(access, before)
+        for prior in races:
+            _found(self.ls_races, var, access, prior)
+        self.trail.append((setattr, variable, "lockset", before))
 
     def _note_access(self, thread: _Thread, var: str, site: tuple) -> None:
         access = (thread.tid, thread.clock, thread.held, site)
@@ -907,6 +985,13 @@ class _Run:
     def _execute(self, thread: _Thread) -> None:
         intent = thread.pending
         op = intent[0]
+        if op == "fault":
+            if intent[1] is None:
+                self._over_budget(thread)
+            else:
+                self._diag("error", f"thread {thread.tid}: {intent[1]}")
+                self.aborted = True
+            return
         thread.saved = None
         thread.steps += 1
         if thread.steps > self.step_budget:
@@ -1222,9 +1307,10 @@ def explore(
     """Depth-first search of schedules, up to `bound` executions.
 
     With ``reduction="dpor"`` (the default) only schedules that reorder
-    dependent operations are explored; ``"none"`` branches at every
-    shared-variable access and synchronization operation and serves as
-    the oracle the reduction is tested against.  Results are aggregated
+    dependent operations are explored, and an access to a thread-local
+    global is no scheduling point; ``"none"`` branches at every access to
+    a global and every synchronization operation and serves as the oracle
+    both are tested against.  Results are aggregated
     across schedules and deduplicated.  A `bound` below one is a
     ValueError.
     """
@@ -1236,7 +1322,7 @@ def explore(
         search = _Exhaustive()
     else:
         raise ValueError(f"unknown reduction: {reduction!r}")
-    model = build_model(tree)
+    model = build_model(tree, local=reduction == "dpor")
 
     hb: dict = {}
     ls: dict = {}
@@ -1273,7 +1359,8 @@ def explore(
 
 
 def replay(tree: CstNode, schedule: tuple, step_budget: int = DEFAULT_STEP_BUDGET) -> _Run:
-    """Re-execute one recorded schedule prefix from the initial state."""
+    """Re-execute from the initial state one schedule prefix that `explore`
+    recorded with its default reduction."""
     run = _Run(build_model(tree), step_budget, True, {}, {}, {})
     run.execute(_Exhaustive(tuple(schedule)).choose)
     return run

@@ -8,8 +8,18 @@ brute-force oracle and to fuzz the whole fix pipeline.
 
 With ``read_run=True`` a program also has a global ``R`` that the worker
 and main each read, unordered, before main writes it after the join: a
-write after two reads that can run in either order.  The option adds to
-the programs; without it every seed gives the program it always gave.
+write after two reads that can run in either order.
+
+With ``private=True`` a program has three threads.  The worker creates
+and joins a nested worker, and each of the two has a global of its own,
+``P`` and ``Q``, that no other thread can touch.  Each runs one statement
+on it, which may also read or write a shared global, branch, or divide by
+a shared global that can be zero; the nested worker then writes a shared
+global.  To keep exhaustive search small, main runs one statement with no
+loop or branch, and the worker nothing else.
+
+The options add to the programs; without them every seed gives the
+program it always gave.
 """
 
 import random
@@ -18,11 +28,13 @@ _GLOBALS = ["G", "H", "K"]
 
 
 class ConcurrentProgramGenerator:
-    def __init__(self, seed: int, read_run: bool = False):
+    def __init__(self, seed: int, read_run: bool = False, private: bool = False):
         self.rng = random.Random(seed)
         self.globals = self.rng.sample(_GLOBALS, self.rng.randint(1, 3))
         self.use_mutex = self.rng.random() < 0.35
         self.read_run = read_run
+        # a source of its own for the private parts
+        self.private = random.Random(-1 - seed) if private else None
 
     def _value(self) -> str:
         rng = self.rng
@@ -40,6 +52,18 @@ class ConcurrentProgramGenerator:
 
     def _read_r(self, indent: str) -> str:
         return f"{indent}{self.rng.choice(self.globals)} = R;\n"
+
+    def _own(self, name: str) -> str:
+        """A statement on the global `name` of one thread."""
+        rng = self.private
+        shared = rng.choice(self.globals)
+        return rng.choice([
+            f"    {name} = {name} + {rng.randint(1, 2)};\n",
+            f"    {name} = {shared};\n",
+            f"    {shared} = {name} + 1;\n",
+            f"    if ({name} == 0) {{\n        {name} = {rng.randint(1, 2)};\n    }}\n",
+            f"    {name} = 2 / {shared};\n",
+        ])
 
     def _statement(self, indent: str, depth: int, budget: list) -> str:
         rng = self.rng
@@ -80,22 +104,35 @@ class ConcurrentProgramGenerator:
             parts.append(f"int {name}{init};\n")
         if self.read_run:
             parts.append("int R;\n")
+        if self.private:
+            parts.append("int P;\nint Q;\n")
         if self.use_mutex:
             parts.append("pthread_mutex_t m = PTHREAD_MUTEX_INITIALIZER;\n")
         parts.append("\n")
 
-        budget = [rng.randint(1, 3)]
-        worker = [self._read_r("    ")] if self.read_run else []
-        while budget[0] > 0:
-            worker.append(self._statement("    ", 0, budget))
+        if self.private:
+            own = self.private
+            parts.append("void *Nested(void *arg) {\n" + self._own("Q")
+                         + f"    {own.choice(self.globals)} = {own.randint(0, 3)};\n"
+                         + "    return 0;\n}\n\n")
+            worker = [self._read_r("    ")] if self.read_run else []
+            worker.insert(own.randint(0, len(worker)), self._own("P"))
+            worker.insert(own.randint(0, len(worker)), "    pthread_create(&u, 0, Nested, 0);\n")
+            worker = ["    pthread_t u;\n", *worker, "    pthread_join(u, 0);\n"]
+        else:
+            budget = [rng.randint(1, 3)]
+            worker = [self._read_r("    ")] if self.read_run else []
+            while budget[0] > 0:
+                worker.append(self._statement("    ", 0, budget))
         parts.append("void *Worker(void *arg) {\n")
         parts.extend(worker)
         parts.append("    return 0;\n}\n\n")
 
-        budget = [rng.randint(1, 2)]
+        depth = 1 if self.private else 0  # 1: no loop or branch
+        budget = [1] if self.private else [rng.randint(1, 2)]
         main_work = []
         while budget[0] > 0:
-            main_work.append(self._statement("    ", 0, budget))
+            main_work.append(self._statement("    ", depth, budget))
         parts.append("int main() {\n    pthread_t t;\n")
         if rng.random() < 0.4:
             parts.append(self._assign("    "))
@@ -111,5 +148,5 @@ class ConcurrentProgramGenerator:
         return "".join(parts)
 
 
-def generate_concurrent(seed: int, read_run: bool = False) -> str:
-    return ConcurrentProgramGenerator(seed, read_run).program()
+def generate_concurrent(seed: int, read_run: bool = False, private: bool = False) -> str:
+    return ConcurrentProgramGenerator(seed, read_run, private).program()

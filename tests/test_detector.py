@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from racefixer import UnsupportedConstruct, explore, parse_report, parse_source
+from racefixer import FixConfig, UnsupportedConstruct, explore, parse_report, parse_source, run
 from racefixer.detector import (
     _site,
+    build_model,
     hb_check,
     hybrid_verdict,
     lockset_check,
@@ -625,3 +626,289 @@ class TestModelValidation:
                   "    { int x = 2; G = x; }\n    G = x;\n    return 0;\n}\n")
         verdict = explore(parse_source(source))
         assert verdict.explored == 1 and verdict.hb_races == ()
+
+
+def summaries(verdict) -> list:
+    """The happens-before races as `detect` prints them."""
+    return [f"{var} {a.line} {a.column} {b.line} {b.column}"
+            for var, a, b in (race.key() for race in verdict.hb_races)]
+
+
+def scheduled(source: str) -> set:
+    """The globals whose accesses are scheduling points under DPOR."""
+    functions = build_model(parse_source(source)).functions.values()
+    return {ins[1] for code in functions for ins in code if ins[0] in ("read", "store")}
+
+
+# Outer runs twice, so Inner, which each Outer creates once, runs twice.
+NESTED = """\
+int P;
+
+void *Inner(void *arg) {
+    P = P + 1;
+    return 0;
+}
+
+void *Outer(void *arg) {
+    pthread_t t;
+    pthread_create(&t, 0, Inner, 0);
+    pthread_join(t, 0);
+    return 0;
+}
+
+int main() {
+    pthread_t a;
+    pthread_t b;
+    pthread_create(&a, 0, Outer, 0);
+    pthread_create(&b, 0, Outer, 0);
+    pthread_join(a, 0);
+    pthread_join(b, 0);
+    return 0;
+}
+"""
+
+# One pthread_create, run twice by a loop.
+LOOPED = """\
+int P;
+
+void *W(void *arg) {
+    P = P + 1;
+    return 0;
+}
+
+int main() {
+    pthread_t t;
+    int i = 0;
+    while (i < 2) {
+        pthread_create(&t, 0, W, 0);
+        i = i + 1;
+    }
+    pthread_join(t, 0);
+    return 0;
+}
+"""
+
+# X is the worker's own, Y main's own; both name G.
+OWN_AND_SHARED = """\
+int G;
+int X;
+int Y;
+
+void *W(void *arg) {
+    X = X + 1;
+    G = X;
+    return 0;
+}
+
+int main() {
+    pthread_t t;
+    pthread_create(&t, 0, W, 0);
+    Y = G;
+    pthread_join(t, 0);
+    return Y;
+}
+"""
+
+
+# W updates its own P, then takes B and A, in the other order from main.
+LOCAL_THEN_DEADLOCK = """\
+int P;
+pthread_mutex_t A = PTHREAD_MUTEX_INITIALIZER;
+pthread_mutex_t B = PTHREAD_MUTEX_INITIALIZER;
+
+void *W(void *arg) {
+    P = 1;
+    P = P + 1;
+    pthread_mutex_lock(&B);
+    pthread_mutex_lock(&A);
+    pthread_mutex_unlock(&A);
+    pthread_mutex_unlock(&B);
+    return 0;
+}
+
+int main() {
+    pthread_t t;
+    pthread_create(&t, 0, W, 0);
+    pthread_mutex_lock(&A);
+    pthread_mutex_lock(&B);
+    pthread_mutex_unlock(&B);
+    pthread_mutex_unlock(&A);
+    pthread_join(t, 0);
+    return 0;
+}
+"""
+
+
+# C is main's own; main loops long past the loop budget, touching C every
+# tenth iteration, then races with W on G.
+LOOP_THEN_SHARED = """\
+int C;
+int G;
+
+void *W(void *arg) {
+    G = 1;
+    return 0;
+}
+
+int main() {
+    pthread_t t;
+    int i = 0;
+    while (i < 12000) {
+        if (i % 10 == 0) { C = C + 1; }
+        i = i + 1;
+    }
+    pthread_create(&t, 0, W, 0);
+    G = 2;
+    pthread_join(t, 0);
+    return 0;
+}
+"""
+
+
+class TestVisibleOperations:
+    """Under DPOR an access to a global that only one thread can touch is
+    local code; exhaustive search still schedules it."""
+
+    @pytest.mark.parametrize("reduction", ["dpor", "none"])
+    def test_thread_created_once_by_a_thread_that_runs_twice_runs_twice(self, reduction):
+        verdict = explore(parse_source(NESTED), reduction=reduction)
+        assert summaries(verdict) == ["P 4 5 4 5", "P 4 5 4 9"]
+        assert scheduled(NESTED) == {"P"}
+        if reduction == "dpor":
+            assert verdict.explored == 12
+
+    @pytest.mark.parametrize("reduction", ["dpor", "none"])
+    def test_thread_created_in_a_loop_runs_twice(self, reduction):
+        verdict = explore(parse_source(LOOPED), reduction=reduction)
+        assert summaries(verdict) == ["P 4 5 4 5", "P 4 5 4 9"]
+        assert scheduled(LOOPED) == {"P"}
+        if reduction == "dpor":
+            assert verdict.explored == 4
+
+    def test_global_main_and_a_worker_name_stays_a_scheduling_point(self):
+        assert scheduled(OWN_AND_SHARED) == {"G"}
+        tree = parse_source(OWN_AND_SHARED)
+        dpor, none = explore(tree), explore(tree, reduction="none")
+        assert summaries(dpor) == summaries(none) == ["G 7 5 14 9"]
+        assert dpor.explored == 2 < none.explored
+
+    @pytest.mark.parametrize("reduction", ["dpor", "none"])
+    def test_local_accesses_count_against_the_step_budget(self, reduction):
+        source = "int P;\n\nint main() {\n    P = 1;\n    P = P + 1;\n    return 0;\n}\n"
+        assert scheduled(source) == set()
+        tree = parse_source(source)
+        assert not explore(tree, step_budget=3, reduction=reduction).truncated
+        verdict = explore(tree, step_budget=2, reduction=reduction)
+        assert verdict.truncated
+        assert [d.message for d in verdict.diagnostics] == [
+            "thread 0 exceeded the step budget of 2; schedule truncated"]
+
+    def test_local_access_ends_a_run_of_loop_iterations(self):
+        # 12000 iterations, but never more than ten without an access to C
+        tree = parse_source(LOOP_THEN_SHARED)
+        dpor, none = explore(tree), explore(tree, reduction="none")
+        assert summaries(dpor) == summaries(none) == ["G 5 5 17 5"]
+        assert not dpor.truncated and not none.truncated
+        assert dpor.diagnostics == none.diagnostics == ()
+
+    def test_deadlock_schedule_replays_with_local_code(self):
+        # W's own P is local code, so it is no step of the schedule
+        tree = parse_source(LOCAL_THEN_DEADLOCK)
+        verdict = explore(tree)
+        assert verdict.deadlocks
+        for deadlock in verdict.deadlocks:
+            run = replay(tree, deadlock.schedule)
+            assert run.deadlock is not None and run.deadlock.threads == deadlock.threads
+
+    def test_single_threaded_global_is_local_and_still_flagged_by_lockset(self):
+        source = corpus("lockset_single.c")
+        assert scheduled(source) == set()
+        (code,) = build_model(parse_source(source)).functions.values()
+        assert [ins[0] for ins in code if ins[1:2] == ("Counter",)] == [
+            "local_store", "local_read", "local_store", "local_read"]
+        keys = []
+        for reduction in ("dpor", "none"):  # criterion 6
+            verdict = explore(parse_source(source), reduction=reduction)
+            assert verdict.hb_races == () and verdict.lockset_races
+            keys.append([race.key() for race in verdict.lockset_races])
+        assert keys[0] == keys[1]
+
+
+# A dies at once; B and main race on G all the same.
+EAGER = """\
+int G;
+void *A(void *arg) {
+    int x = 1 / 0;
+    return 0;
+}
+void *B(void *arg) {
+    G = 1;
+    return 0;
+}
+int main() {
+    pthread_t a;
+    pthread_t b;
+    pthread_create(&a, 0, A, 0);
+    pthread_create(&b, 0, B, 0);
+    G = 2;
+    pthread_join(a, 0);
+    pthread_join(b, 0);
+    return 0;
+}
+"""
+
+# The same, with A's fault after two local accesses to its own P.
+FAULT = """\
+int P;
+int G;
+
+void *A(void *arg) {
+    P = P / 0;
+    return 0;
+}
+
+void *B(void *arg) {
+    G = 1;
+    return 0;
+}
+
+int main() {
+    pthread_t a;
+    pthread_t b;
+    pthread_create(&a, 0, A, 0);
+    pthread_create(&b, 0, B, 0);
+    G = 2;
+    pthread_join(a, 0);
+    pthread_join(b, 0);
+    return 0;
+}
+"""
+
+
+class TestLocalFaults:
+    """A fault in local code is the thread's pending operation: it ends the
+    run when that thread is scheduled, not as soon as the thread gets there."""
+
+    @pytest.mark.parametrize("reduction", ["dpor", "none"])
+    @pytest.mark.parametrize("source,race", [(EAGER, "G 7 5 15 5"), (FAULT, "G 10 5 19 5")],
+                             ids=["eager", "fault"])
+    def test_fault_waits_for_its_threads_turn(self, source, race, reduction):
+        verdict = explore(parse_source(source), reduction=reduction)
+        assert summaries(verdict) == [race]
+        assert [d.message for d in verdict.diagnostics] == ["thread 1: division by zero"]
+
+    @pytest.mark.parametrize("reduction", ["dpor", "none"])
+    def test_overrun_waits_for_its_threads_turn(self, reduction):
+        source = EAGER.replace("int x = 1 / 0;", "while (1) { }")
+        verdict = explore(parse_source(source), step_budget=50, reduction=reduction)
+        assert summaries(verdict) == ["G 7 5 15 5"]
+        assert verdict.truncated
+        assert [d.message for d in verdict.diagnostics] == [
+            "thread 1 exceeded the step budget of 50; schedule truncated"]
+
+    def test_fix_patches_race_beside_a_faulting_thread(self, tmp_path):
+        path = tmp_path / "eager.c"
+        path.write_text(EAGER)
+        report = run(FixConfig(source=str(path)))
+        assert report.final_text.count("pthread_mutex_lock(&__rf_mutex_G);") == 2
+        assert explore(parse_source(report.final_text)).hb_races == ()

@@ -94,6 +94,17 @@ def test_generated_read_runs_match_exhaustive(seed):
     assert len(reads) == 2 and {(read, write) for read in reads} <= pairs
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_generated_private_globals_match_exhaustive(seed):
+    # DPOR runs the accesses to P and Q as local code; exhaustive search
+    # still schedules each of them
+    source = generate_concurrent(seed, private=True)
+    local = {ins[1] for code in build_model(parse_source(source)).functions.values()
+             for ins in code if ins[0] in ("local_read", "local_store")}
+    assert {"P", "Q"} <= local
+    assert_reduction_agrees(source)
+
+
 @pytest.mark.parametrize("workers,increments", [(1, 1), (2, 0), (2, 1), (2, 2), (3, 0)])
 def test_private_counter_family_matches_exhaustive(workers, increments):
     verdict = assert_reduction_agrees(private_counters(workers, increments))
