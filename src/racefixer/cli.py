@@ -21,8 +21,6 @@ from . import cst, detector, driver
 from .reports import format_summary, merge_runs, parse_report
 
 EXIT_INPUT_ERROR = 3
-_BOUND_HELP = ("schedules explored per detection run, counted after "
-              "partial-order reduction (default %(default)s)")
 
 
 @functools.cache  # built once per process; parsing does not change it
@@ -33,29 +31,29 @@ def _build_parser() -> argparse.ArgumentParser:
                     "them with mutex guards.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # what fix and detect share
+    common.add_argument("source")
+    common.add_argument("--bound", type=int, default=detector.DEFAULT_BOUND,
+                        help="schedules explored per detection run, counted after "
+                             "partial-order reduction (default %(default)s)")
+    common.add_argument("--lockset-mode", choices=detector.LOCKSET_MODES, default="hb")
+    common.add_argument("--verbose", action="store_true")
 
-    fix = sub.add_parser("fix", help="detect races and rewrite the source until clean")
-    fix.add_argument("source")
+    fix = sub.add_parser("fix", parents=[common],
+                         help="detect races and rewrite the source until clean")
     fix.add_argument("--detector", choices=["builtin", "report"], default="builtin")
     fix.add_argument("--report", action="append", default=[], metavar="PATH",
                      help="sanitizer report file (repeatable; detector=report)")
     fix.add_argument("--max-iterations", type=int, default=10)
-    fix.add_argument("--bound", type=int, default=detector.DEFAULT_BOUND, help=_BOUND_HELP)
     out = fix.add_mutually_exclusive_group()
     out.add_argument("--in-place", action="store_true", help="rewrite the source file")
     out.add_argument("--out", metavar="PATH", help="write the patched source here")
     out.add_argument("--diff", action="store_true",
                      help="print a unified diff (default)")
-    fix.add_argument("--lockset-mode", choices=["hb", "lockset", "union"], default="hb")
-    fix.add_argument("--verbose", action="store_true")
 
-    det = sub.add_parser("detect", help="run the built-in race detector")
-    det.add_argument("source")
-    det.add_argument("--bound", type=int, default=detector.DEFAULT_BOUND, help=_BOUND_HELP)
-    det.add_argument("--lockset-mode", choices=["hb", "lockset", "union"], default="hb")
+    det = sub.add_parser("detect", parents=[common], help="run the built-in race detector")
     det.add_argument("--tsan-format", action="store_true",
                      help="print races in the sanitizer log dialect")
-    det.add_argument("--verbose", action="store_true")
 
     rep = sub.add_parser("parse-report", help="summarize sanitizer report files")
     rep.add_argument("paths", nargs="+")

@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .reports import SourceCoord
+from .reports import SourceCoord, is_identifier
 
 # Node kinds
 TRANSLATION_UNIT = "TranslationUnit"
@@ -227,9 +227,9 @@ class TextEdit:
 # ---------------------------------------------------------------------------
 
 # Leading trivia, then at most one token: an identifier, a number, or a
-# punctuator (two-character ones first).  ``\w`` is ``str.isalnum`` plus
-# ``_``, so non-ASCII letters may appear in names.  No token matched means
-# the end of the text or a character that starts no token.
+# punctuator (two-character ones first); a word must be `is_identifier`.
+# No token matched means the end of the text or a character that starts
+# no token.
 _TOKEN_RE = re.compile(
     r"([ \t\r\n]*(?:/(?:/[^\n]*|\*.*?\*/)[ \t\r\n]*)*)"
     r"(?:([^\W\d]\w*)|(\d+)|(&&|\|\||[=!<>+]=?|[(){};,\-*/%&]))?",
@@ -250,7 +250,7 @@ def _tokenize(text: str) -> list[Token]:
         column = pos - line_start + 1
         if word:
             # [^\W\d] also matches non-decimal numerals such as '½'
-            if check_names and not (word[0].isalpha() or word[0] == "_"):
+            if check_names and not is_identifier(word):
                 raise ParseError(f"unexpected character {word[0]!r}", line, column, pos)
             append(Token("ident", word, leading, pos, line, column))
             offset = pos + len(word)

@@ -39,19 +39,20 @@ detector keeps:
 * the set of stuck states, where some thread is unfinished but nothing
   can run: deadlocks.
 
-A thread's state is its position in its code, its operand stack and its
-variables, so it can be copied.  DPOR saves the state at each decision
-with more than one enabled thread, logs every later change to shared
-state for undoing, and starts the next schedule from the deepest saved
-decision instead of from the beginning.  Its own bookkeeping (clocks and
-the latest operation on each object) is rolled back with that state, so
-a schedule costs only the steps it does not share with the previous
-one.  Races and diagnostics are not state: they are kept by key as
-they are found and never rolled back.  Both kinds of clock, the race
-check's and DPOR's, are tuples of ``MAX_THREADS`` counts, so saving one
-is sharing it.  A schedule is still just the list of thread choices
-taken at each decision point, and ``replay`` re-runs a prefix exactly
-from the initial state.
+A thread's state is its position in its code, its operand stack, its
+variables, its pending operation and the mutexes it holds; nothing else
+keeps a copy of them, and the state can be copied.  DPOR saves the state
+at each decision with more than one enabled thread, logs every later
+change to shared state for undoing, and starts the next schedule from
+the deepest saved decision instead of from the beginning.  Its own
+bookkeeping (clocks and the latest operation on each object) is rolled
+back with that state, so a schedule costs only the steps it does not
+share with the previous one.  Races and diagnostics are not state: they
+are kept by key as they are found and never rolled back.  Both kinds of
+clock, the race check's and DPOR's, are tuples of ``MAX_THREADS``
+counts, so saving one is sharing it.  A schedule is still just the list
+of thread choices taken at each decision point, and ``replay`` re-runs a
+prefix exactly from the initial state.
 """
 
 from __future__ import annotations
@@ -278,19 +279,22 @@ def lockset_check(current: tuple, state: tuple | None) -> tuple:
     return (candidates, candidates, current, (), _UNREAD), races
 
 
+LOCKSET_MODES = ("hb", "lockset", "union")  # see select_races; "hb" is the default
+
+
 def select_races(hb_races, lockset_races, mode: str) -> tuple[DetectedRace, ...]:
     """The races a lockset mode reports: the happens-before ones ("hb"),
     the lockset ones ("lockset"), or both, one race per key ("union")."""
+    if mode not in LOCKSET_MODES:
+        raise ValueError(f"unknown lockset mode: {mode!r}")
     if mode == "hb":
         return tuple(hb_races)
     if mode == "lockset":
         return tuple(lockset_races)
-    if mode == "union":
-        by_key: dict = {}
-        for race in (*hb_races, *lockset_races):
-            by_key.setdefault(race.key(), race)
-        return tuple(by_key.values())
-    raise ValueError(f"unknown lockset mode: {mode!r}")
+    by_key: dict = {}
+    for race in (*hb_races, *lockset_races):
+        by_key.setdefault(race.key(), race)
+    return tuple(by_key.values())
 
 
 def hybrid_verdict(
@@ -671,14 +675,15 @@ def build_model(tree: CstNode, local: bool = True) -> _Model:
 
 class _Step:
     """One scheduling decision on the current path: who could run, who
-    ran (`choice`, whose triple is `op`), and what each live thread was
-    about to do, as (kind, object, conflict key) triples.  Two operations
-    are dependent (`_dependent`) when their conflict keys are equal and
-    not None and they are not both reads: ("var", name) for a read or
-    write, ("mutex", name) for a lock or unlock, and "create" for every
-    create, since thread ids are assigned in creation order.  A join has
-    no key, since its happens-before edge from the target orders it, and
-    neither has a fault, which `_Dpor`'s rule for an aborted run covers.
+    ran (`choice`), and what it ran (`op`), as a (kind, object, conflict
+    key) triple; the others' operations stay on their threads.  Two
+    operations are dependent (`_dependent`) when their conflict keys are
+    equal and not None and they are not both reads: ("var", name) for a
+    read or write, ("mutex", name) for a lock or unlock, and "create" for
+    every create, since thread ids are assigned in creation order.  A join
+    has no key, since its happens-before edge from the target orders it,
+    and neither has a fault, which `_Dpor`'s rule for an aborted run
+    covers.
 
     DPOR also keeps the threads a race says to try from here
     (`backtrack`, None for none), those that need not be (`sleep`, tid ->
@@ -687,13 +692,12 @@ class _Step:
     (`clock`, see `_Dpor`).  Most steps never get either set, so neither
     is made until needed."""
 
-    __slots__ = ("enabled", "choice", "op", "pending", "backtrack", "sleep", "saved", "clock")
+    __slots__ = ("enabled", "choice", "op", "backtrack", "sleep", "saved", "clock")
 
-    def __init__(self, enabled: tuple, choice: int, pending: dict, sleep=None):
+    def __init__(self, enabled: tuple, choice: int, op: tuple, sleep=None):
         self.enabled = enabled
         self.choice = choice
-        self.pending = pending  # tid -> (kind, object, conflict key)
-        self.op = pending[choice]  # the chosen thread's
+        self.op = op
         self.backtrack: set | None = None
         self.sleep = sleep
         self.saved = None
@@ -705,19 +709,17 @@ class _Thread:
     and variables, and its scheduling state.  `pending` is the visible
     operation or the fault it waits to run, None once it has finished;
     its last item is what the scheduler sees of it, (kind, object,
-    conflict key).
-    `clock` orders its accesses for the race check.  `dpor` and `since`
-    are DPOR's clock for the thread and the step at which its operation
-    became pending; `dpor` is None until DPOR has started or ordered the
-    step that created the thread.
+    conflict key).  `held`, the mutexes it holds (for good once it has
+    finished), is the only record of their owner.  `clock` orders its
+    accesses for the race check, and `dpor` is DPOR's clock for it, None
+    until DPOR has started or ordered the step that created the thread.
     `saved` caches `save()` until the thread next changes."""
 
-    __slots__ = ("tid", "function", "code", "pc", "stack", "env", "clock", "held",
-                 "pending", "steps", "dpor", "since", "saved")
+    __slots__ = ("tid", "code", "pc", "stack", "env", "clock", "held",
+                 "pending", "steps", "dpor", "saved")
 
-    def __init__(self, tid: int, function: str, code: list, clock: tuple):
+    def __init__(self, tid: int, code: list, clock: tuple):
         self.tid = tid
-        self.function = function
         self.code = code
         self.pc = 0
         self.stack: list = []
@@ -727,18 +729,17 @@ class _Thread:
         self.pending: tuple | None = None
         self.steps = 0
         self.dpor: tuple | None = None
-        self.since = 0
         self.saved = None
 
     def save(self) -> tuple:
         if self.saved is None:
             self.saved = (self.pc, tuple(self.stack), self.env.copy(), self.clock, self.held,
-                          self.pending, self.steps, self.dpor, self.since)
+                          self.pending, self.steps, self.dpor)
         return self.saved
 
     def restore(self, saved: tuple) -> None:
         (self.pc, stack, env, self.clock, self.held, self.pending,
-         self.steps, self.dpor, self.since) = saved
+         self.steps, self.dpor) = saved
         self.stack = list(stack)
         self.env = env.copy()
         self.saved = saved
@@ -776,9 +777,9 @@ class _Run:
     """The program's state along one schedule.
 
     `execute(choose)` runs it to the end of the schedule, where
-    `choose(run, enabled, pending)` returns the `_Step` to take at each
-    decision, or None to stop there.  `save()` records what `restore()`
-    needs to bring the run back to that point: the threads' own states,
+    `choose(run, enabled)` returns the `_Step` to take at each decision,
+    or None to stop there.  `save()` records what `restore()` needs to
+    bring the run back to that point: the threads' own states,
     the length of the trace, and that of `trail`, which holds an undo
     entry for every change to shared state.  An access changes its
     variable's `_Variable`: the latest access at its key, updated in place
@@ -796,7 +797,6 @@ class _Run:
         self.record_trace = record_trace
 
         self.globals_ = dict(model.globals_)
-        self.mutex_owner = dict.fromkeys(model.mutexes)
         self.mutex_clock = dict.fromkeys(model.mutexes, _ZERO)
         self.threads: list[_Thread] = []
         # The latest access per thread and site, not per thread: a
@@ -816,7 +816,7 @@ class _Run:
         self.aborted = False
         self.budget_exceeded = False
 
-        main = _Thread(0, "main", model.functions["main"], _ZERO)
+        main = _Thread(0, model.functions["main"], _ZERO)
         self.threads.append(main)
         self._advance(main)
 
@@ -943,8 +943,8 @@ class _Run:
     def _enabled(self, thread: _Thread) -> bool:
         intent = thread.pending
         op = intent[0]
-        if op == "lock":
-            return self.mutex_owner[intent[1]] is None
+        if op == "lock":  # a finished thread keeps what it held
+            return not any(intent[1] in t.held for t in self.threads)
         if op == "join":
             target = intent[1]
             if 0 <= target < len(self.threads):
@@ -1010,8 +1010,6 @@ class _Run:
             self._advance(thread)
         elif op == "lock":
             _, mutex, coord, _ = intent
-            self.trail.append((dict.__setitem__, self.mutex_owner, mutex, None))
-            self.mutex_owner[mutex] = thread.tid
             thread.held = thread.held | {mutex}
             # acquire: join the clock the last release published, then tick
             clock = _join(thread.clock, self.mutex_clock[mutex])
@@ -1020,17 +1018,15 @@ class _Run:
             self._advance(thread, 0)
         elif op == "unlock":
             _, mutex, coord, _ = intent
-            if self.mutex_owner[mutex] != thread.tid:
+            if mutex not in thread.held:
                 self._diag(
                     "error",
                     f"thread {thread.tid} unlocks '{mutex}' which it does not hold",
                 )
                 self.aborted = True
                 return
-            self.trail.append((dict.__setitem__, self.mutex_owner, mutex, thread.tid))
             self.trail.append((dict.__setitem__, self.mutex_clock, mutex,
                                self.mutex_clock[mutex]))
-            self.mutex_owner[mutex] = None
             thread.held = thread.held - {mutex}
             # release: publish the clock, then tick
             clock = self.mutex_clock[mutex] = thread.clock
@@ -1048,8 +1044,7 @@ class _Run:
             # one; the parent ticks, so its later work is not ordered before
             clock = thread.clock
             thread.clock = _with(clock, thread.tid, clock[thread.tid] + 1)
-            child = _Thread(child_tid, target, self.model.functions[target],
-                            _with(clock, child_tid, 1))
+            child = _Thread(child_tid, self.model.functions[target], _with(clock, child_tid, 1))
             self.threads.append(child)
             self._advance(child)
             self._trace(("create", thread.tid, child_tid, coord))
@@ -1075,19 +1070,15 @@ class _Run:
 
     def execute(self, choose) -> None:
         while not self.aborted:
-            pending = {}  # tid -> (kind, object, conflict key) of every live thread
             enabled = []
             for t in self.threads:
-                if t.pending is not None:
-                    pending[t.tid] = t.pending[-1]
-                    if self._enabled(t):
-                        enabled.append(t.tid)
-            if not pending:
+                if t.pending is not None and self._enabled(t):
+                    enabled.append(t.tid)
+            if not enabled:  # every thread has finished, or the rest are stuck
+                if any(t.pending is not None for t in self.threads):
+                    self._record_deadlock()
                 return
-            if not enabled:
-                self._record_deadlock()
-                return
-            step = choose(self, tuple(enabled), pending)
+            step = choose(self, tuple(enabled))
             if step is None:
                 return
             self.path.append(step)
@@ -1122,10 +1113,10 @@ class _Exhaustive:
         self.prefix = prefix
         self.pending: list[tuple] = []
 
-    def choose(self, run: _Run, enabled: tuple, pending: dict) -> _Step:
+    def choose(self, run: _Run, enabled: tuple) -> _Step:
         index = len(run.path)
         choice = self.prefix[index] if index < len(self.prefix) else enabled[0]
-        return _Step(enabled, choice, pending)
+        return _Step(enabled, choice, run.threads[choice].pending[-1])
 
     def advance(self, run: _Run) -> _Run | None:
         """The run for the next schedule, or None when all are done."""
@@ -1148,29 +1139,31 @@ class _Dpor:
     Happens-before is program order, create and join edges, and the order
     of dependent operations; it is computed online, one step at a time.
     Step k is ordered when the state after it is known: by `choose` at
-    the next decision, or by `advance` at the end of the run.  A thread's
-    next operation races with every dependent operation of another thread
-    from the state where it became pending until it runs or the run ends,
-    and with the last dependent operation before that state, if that one
-    does not already happen before the thread.  Checking only where the
-    operation ran would miss a lock that waited on another thread's
-    critical section.  A run that aborted on a fault ends in an operation
-    that stops every other thread, so it depends on all of their pending
+    the next decision, or by `advance` at the end of the run.  Only the
+    step's thread has moved by then, so the others' pending operations
+    are read from the run, as each process's next transition is read from
+    the state.  A thread's next operation races with every dependent
+    operation of another thread from the state where it became pending
+    until it runs or the run ends, and with the last dependent operation
+    before that state, if that one does not already happen before the
+    thread.  Checking only where the operation ran would miss a lock that
+    waited on another thread's critical section.  A run that aborted on a
+    fault ends in an operation that stops every other thread (a step that
+    aborts creates none), so it depends on all of their pending
     operations.  Each race adds the other thread to the backtrack set of
     the earlier step; the thread itself if it was enabled there, else
     every enabled thread.
 
     A clock's entry u is one more than the index of the latest step of
     thread u that happens before.  The search state lives where the run's
-    restore rolls it back: each thread's clock and pending-since step on
-    `_Thread`, each event's clock on its `_Step`, and `last`, whose
-    changes are undone through the run's trail.  `last` maps a conflict
-    key to the latest write on it, then the latest read of each thread
-    since that write (the steps; a lock, unlock or create counts as a
-    write).  Reads commute, so a read is ordered after the write only, and
-    a write after the write and every read since; a thread's earlier reads
-    happen before its latest one.  These are also the operations a newly
-    pending one is checked against.
+    restore rolls it back: each thread's clock on `_Thread`, each event's
+    clock on its `_Step`, and `last`, whose changes are undone through the
+    run's trail.  `last` maps a conflict key to the latest write on it,
+    then the latest read of each thread since that write (the steps; a
+    lock, unlock or create counts as a write).  Reads commute, so a read
+    is ordered after the write only, and a write after the write and every
+    read since; a thread's earlier reads happen before its latest one.
+    These are also the operations a newly pending one is checked against.
 
     After each run the state is restored to the deepest step with a
     backtrack thread left to try and not asleep, and goes on from there
@@ -1182,7 +1175,7 @@ class _Dpor:
         self.resume: _Step | None = None
         self.last: dict = {}
 
-    def choose(self, run: _Run, enabled: tuple, pending: dict) -> _Step | None:
+    def choose(self, run: _Run, enabled: tuple) -> _Step | None:
         if self.resume is not None:  # `advance` restored the state this step was saved in
             step, self.resume = self.resume, None
             return step
@@ -1199,7 +1192,7 @@ class _Dpor:
         awake = [tid for tid in enabled if tid not in sleep] if sleep else enabled
         if not awake:
             return None  # every schedule from here is one already explored
-        step = _Step(enabled, awake[0], pending, sleep)
+        step = _Step(enabled, awake[0], run.threads[awake[0]].pending[-1], sleep)
         if len(enabled) > 1:
             step.saved = run.save()
         return step
@@ -1211,9 +1204,9 @@ class _Dpor:
             last = path[-1]
             if last.clock is None:  # else `choose` ordered it and then stopped the run
                 self._order(run, len(path) - 1)
-            if run.aborted:  # the fault stops every thread waiting before the last step
+            if run.aborted:  # the fault stops every other thread still waiting
                 for t in run.threads:
-                    if t.pending is not None and t.tid != last.choice and t.since < len(path):
+                    if t.pending is not None and t.tid != last.choice:
                         _reverse(last, t.tid)
         while path:
             node = path.pop()
@@ -1225,9 +1218,9 @@ class _Dpor:
             options = node.backtrack.difference(node.sleep)
             if options:
                 node.choice = min(options)
-                node.op = node.pending[node.choice]
                 node.clock = None
                 run.restore(node.saved)
+                node.op = run.threads[node.choice].pending[-1]
                 self.resume = node
                 return run
         return None
@@ -1242,9 +1235,10 @@ class _Dpor:
         thread = run.threads[tid]
         clock = thread.dpor
         if key is not None:
-            for other, pending in step.pending.items():
-                if other != tid and _dependent(op, pending):
-                    _reverse(step, other)
+            for other in run.threads:  # a child this step made has no clock yet
+                if (other is not thread and other.pending is not None
+                        and other.dpor is not None and _dependent(op, other.pending[-1])):
+                    _reverse(step, other.tid)
             prior = last.get(key, ())
             # unbound methods: a bound one in every entry would add to the peak
             run.trail.append((dict.__setitem__, last, key, prior) if prior
@@ -1266,13 +1260,13 @@ class _Dpor:
             if child.dpor is None:  # else the thread limit stopped the create
                 child.dpor = clock
                 if child.pending is not None:
-                    self._pend(child, k + 1)
+                    self._pend(child)
         if thread.pending is not None and not run.aborted:  # else it never runs again
-            self._pend(thread, k + 1)
+            self._pend(thread)
 
-    def _pend(self, thread: _Thread, state: int) -> None:
-        """`thread`'s operation became pending at `state`."""
-        thread.since = state
+    def _pend(self, thread: _Thread) -> None:
+        """Check `thread`'s operation, pending from now on, against the
+        dependent ones already ordered."""
         op = thread.pending[-1]
         for step in self.last.get(op[2], ()):
             u = step.choice

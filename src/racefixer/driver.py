@@ -57,6 +57,8 @@ class FixConfig:
             raise ValueError("report files are read only with detector=report")
         if self.output == "out" and not self.out_path:
             raise ValueError("output=out requires an output path")
+        if self.lockset_mode not in race_detector.LOCKSET_MODES:
+            raise ValueError(f"unknown lockset mode: {self.lockset_mode!r}")
 
 
 @dataclass

@@ -16,7 +16,11 @@ import re
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+def is_identifier(name: str) -> bool:
+    """A C name as the lexer reads one: a letter or ``_``, then ``_`` or
+    `str.isalnum` characters, so non-ASCII letters count."""
+    return (name[:1].isalpha() or name[:1] == "_") and name.replace("_", "a").isalnum()
 
 
 @dataclass(frozen=True, order=True)
@@ -44,7 +48,7 @@ class DataRace:
     file: str | None = None
 
     def __post_init__(self) -> None:
-        if not _IDENT_RE.match(self.variable):
+        if not is_identifier(self.variable):
             raise ValueError(f"not a C identifier: {self.variable!r}")
 
     def key(self) -> tuple:

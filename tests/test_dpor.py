@@ -13,6 +13,7 @@ import pytest
 
 from racefixer import explore, parse_source
 from racefixer.detector import DEFAULT_STEP_BUDGET, _dependent, _Dpor, _Run, build_model
+from racefixer.reports import Diagnostic
 
 from conftest import corpus_files
 from genconc import generate_concurrent
@@ -206,8 +207,8 @@ def test_sleeping_read_stays_asleep_across_a_read_and_wakes_at_a_write():
     search = _Dpor()
     steps = []  # (depth, thread, (kind, object), threads asleep) per step taken
 
-    def choose(run, enabled, pending):
-        step = search.choose(run, enabled, pending)
+    def choose(run, enabled):
+        step = search.choose(run, enabled)
         if step is not None:
             steps.append((len(run.path), step.choice, step.op[:2], set(step.sleep or ())))
         return step
@@ -268,6 +269,53 @@ def test_fault_does_not_hide_other_threads():
     # operation, or the race on G is never found.
     verdict = assert_reduction_agrees(FAULT_CUTS_RUN)
     assert [r.variable for r in verdict.hb_races] == ["G"]
+
+
+FAULT_BEFORE_GRANDCHILD = """\
+int H;
+
+void *A(void *arg) {
+    int x = 1 / 0;
+    return 0;
+}
+
+void *C(void *arg) {
+    H = 2;
+    return 0;
+}
+
+void *B(void *arg) {
+    pthread_t c;
+    pthread_create(&c, 0, C, 0);
+    H = 1;
+    pthread_join(c, 0);
+    return 0;
+}
+
+int main() {
+    pthread_t a;
+    pthread_t b;
+    pthread_create(&a, 0, A, 0);
+    pthread_create(&b, 0, B, 0);
+    pthread_join(a, 0);
+    pthread_join(b, 0);
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("reduction,explored", [("dpor", 3), ("none", 9)])
+def test_abort_reverses_every_waiting_thread(reduction, explored):
+    # A's fault is the first operation DPOR runs once both threads exist,
+    # and it ends the run before B does anything.  Only the rule for an
+    # aborted run, that the fault depends on every other pending operation,
+    # has DPOR run B first, and with it C and the race on H.
+    verdict = explore(parse_source(FAULT_BEFORE_GRANDCHILD), reduction=reduction)
+    got = [(var, a.line, a.column, b.line, b.column)
+           for var, a, b in (r.key() for r in verdict.hb_races)]
+    assert got == [("H", 9, 5, 16, 5)]
+    assert verdict.explored == explored
+    assert Diagnostic("error", "thread 1: division by zero") in verdict.diagnostics
 
 
 def test_two_by_four_finishes_quickly():

@@ -330,6 +330,11 @@ class TestRunReportMode:
         with pytest.raises(ValueError, match="detector=report"):
             FixConfig(source="x.c", reports=("tsan.log",))
 
+    def test_unknown_lockset_mode_rejected_before_the_file_is_read(self):
+        # the file does not exist: reading it would raise OSError instead
+        with pytest.raises(ValueError, match="unknown lockset mode: 'bogus'"):
+            FixConfig(source="no/such/file.c", lockset_mode="bogus")
+
 
 class TestOutputModes:
     def test_diff_mode_leaves_file_alone(self, tmp_source):
@@ -526,6 +531,23 @@ class TestCli:
         assert code == 1
         assert out.splitlines()[0] == "Global 4 5 11 5"
         assert "explored=2" in out
+
+    def test_non_ascii_name_detect_and_fix(self, tmp_path, capsys):
+        # the lexer reads 'Zähler' as one name, so a race on it is reported
+        # and patched like any other
+        path = tmp_path / "zaehler.c"
+        path.write_text(corpus("race_plain.c").replace("Global", "Zähler"), encoding="utf-8")
+        assert cli_main(["detect", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == "Zähler 4 5 11 5"
+        patched = tmp_path / "patched.c"
+        assert cli_main(["fix", str(path), "--out", str(patched)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "status=Clean"
+        lines = patched.read_text(encoding="utf-8").splitlines()
+        writes = [n for n, line in enumerate(lines) if line.startswith("    Zähler = ")]
+        assert len(writes) == 2
+        for n in writes:
+            assert lines[n - 1] == "    pthread_mutex_lock(&__rf_mutex_Zähler);"
+            assert lines[n + 2] == "    pthread_mutex_unlock(&__rf_mutex_Zähler);"
 
     @pytest.mark.parametrize("body", ["", "continue;"])
     def test_detect_stops_loop_without_shared_access(self, tmp_path, capsys, body):

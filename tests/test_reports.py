@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from racefixer import parse_report
+from racefixer.cst import _tokenize
 from racefixer.reports import DataRace, RaceSet, SourceCoord, format_summary, merge_runs
 
 from conftest import fixture
@@ -153,6 +154,19 @@ def test_coordinates_must_be_positive():
 def test_variable_must_be_identifier():
     with pytest.raises(ValueError):
         DataRace("not an ident!", SourceCoord(1, 1), SourceCoord(2, 2))
+
+
+@pytest.mark.parametrize("name", ["1x", "½x", ""])
+def test_variable_must_not_start_with_a_numeral(name):
+    with pytest.raises(ValueError, match="not a C identifier"):
+        DataRace(name, SourceCoord(1, 1), SourceCoord(2, 2))
+
+
+@pytest.mark.parametrize("name", ["x", "_x1", "Zähler", "x½"])
+def test_variable_may_be_any_name_the_lexer_reads(name):
+    (token, _eof) = _tokenize(name)
+    assert token.kind == "ident" and token.text == name
+    assert DataRace(name, SourceCoord(1, 1), SourceCoord(2, 2)).variable == name
 
 
 @given(st.text(alphabet=st.characters(codec="utf-8"), max_size=400))

@@ -256,10 +256,10 @@ int main() {
 def run_state(run: _Run) -> tuple:
     return (
         run.trace, run.deadlock,
-        run.aborted, run.budget_exceeded, run.globals_, run.mutex_owner, run.mutex_clock,
+        run.aborted, run.budget_exceeded, run.globals_, run.mutex_clock,
         # accesses in order
         {var: (list(v.accesses.items()), v.lockset) for var, v in run.variables.items()},
-        [(t.tid, t.function, t.pc, t.stack, t.env, t.clock, t.held, t.pending, t.steps)
+        [(t.tid, t.code, t.pc, t.stack, t.env, t.clock, t.held, t.pending, t.steps)
          for t in run.threads],
     )
 
@@ -271,9 +271,11 @@ def results(run: _Run) -> tuple:
 def fresh_run(model, choices: list) -> _Run:
     """A run from the initial state that takes `choices` and stops there."""
 
-    def choose(run, enabled, pending):
+    def choose(run, enabled):
         index = len(run.path)
-        return _Step(enabled, choices[index], pending) if index < len(choices) else None
+        if index == len(choices):
+            return None
+        return _Step(enabled, choices[index], run.threads[choices[index]].pending[-1])
 
     run = _Run(model, DEFAULT_STEP_BUDGET, True, {}, {}, {})
     run.execute(choose)
