@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fix = sub.add_parser("fix", parents=[common],
                          help="detect races and rewrite the source until clean")
-    fix.add_argument("--detector", choices=["builtin", "report"], default="builtin")
+    fix.add_argument("--detector", choices=driver.DETECTORS, default="builtin")
     fix.add_argument("--report", action="append", default=[], metavar="PATH",
                      help="sanitizer report file (repeatable; detector=report)")
     fix.add_argument("--max-iterations", type=int, default=10)

@@ -31,7 +31,7 @@ from its first and last token when first read.  The root indexes its
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .reports import SourceCoord, is_identifier
@@ -94,14 +94,10 @@ class OverlapError(Exception):
     """Two text edits in one batch cover intersecting spans."""
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(namedtuple("Span", "start_offset end_offset start end")):
     """Half-open offset range plus the 1-based coordinates of its ends."""
 
-    start_offset: int
-    end_offset: int
-    start: SourceCoord
-    end: SourceCoord
+    __slots__ = ()
 
     def covers(self, coord: SourceCoord) -> bool:
         if coord.line != self.start.line:
@@ -133,16 +129,16 @@ class CstNode:
     """A node: its kind, its children (nodes and tokens) in source order,
     its parent, its span, and the named attributes of its grammar rule.
 
-    The span is computed from the first and last token on first use.
+    The parser sets `parent` once the enclosing node is built; the root
+    keeps the class default.  The span is computed from the first and last
+    token on first use.
     """
 
-    def __init__(self, kind: str, children: list | None = None,
-                 parent: "CstNode | None" = None, span: Span | None = None):
+    parent: "CstNode | None" = None
+
+    def __init__(self, kind: str, children: list):
         self.kind = kind
-        self.children = [] if children is None else children
-        self.parent = parent
-        if span is not None:
-            self.span = span
+        self.children = children
 
     @cached_property
     def span(self) -> Span:
@@ -187,18 +183,15 @@ class CstNode:
         return node
 
 
-@dataclass
-class StatementHandle:
+class StatementHandle(namedtuple("StatementHandle", "node role identifier reason",
+                                 defaults=(None,))):
     """A located statement (or condition-owning construct) plus its role."""
 
-    node: CstNode
-    role: str
-    identifier: CstNode
-    reason: str | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TextEdit:
+class TextEdit(namedtuple("TextEdit", "start end replacement kind mutex anchor order_col",
+                          defaults=(None, None, -1, 0))):
     """Span-anchored replacement; zero-width span means insertion.
 
     ``kind``/``mutex``/``anchor``/``order_col`` are bookkeeping the
@@ -209,13 +202,7 @@ class TextEdit:
     by the column of the access that motivated the edit.
     """
 
-    start: int
-    end: int
-    replacement: str
-    kind: str | None = None
-    mutex: str | None = None
-    anchor: int = -1
-    order_col: int = 0
+    __slots__ = ()
 
     @property
     def sort_anchor(self) -> int:

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .reports import DataRace, Diagnostic, RaceSet, SourceCoord
 from . import cst
@@ -97,22 +97,15 @@ def _with(clock: tuple, tid: int, count: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AccessRecord:
-    variable: str
-    kind: str  # "read" | "write"
-    thread: int
-    clock: tuple
-    lockset: frozenset
-    coord: SourceCoord
-    function: str
+class AccessRecord(namedtuple("AccessRecord",
+                              "variable kind thread clock lockset coord function")):
+    """One side of a race; `kind` is "read" or "write"."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DetectedRace:
-    variable: str
-    current: AccessRecord
-    previous: AccessRecord
+class DetectedRace(namedtuple("DetectedRace", "variable current previous")):
+    __slots__ = ()
 
     def key(self) -> tuple:
         a, b = sorted((self.current.coord, self.previous.coord))
@@ -122,19 +115,18 @@ class DetectedRace:
         return DataRace(self.variable, self.current.coord, self.previous.coord, file)
 
 
-@dataclass(frozen=True)
-class BlockedThread:
-    tid: int
-    waiting_on: str  # "mutex:<name>" or "join:<tid>"
-    held: tuple[str, ...]
+class BlockedThread(namedtuple("BlockedThread", "tid waiting_on held")):
+    """`waiting_on` is "mutex:<name>" or "join:<tid>"; `held` is a tuple of
+    mutex names."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DeadlockRecord:
-    """A reachable stuck state plus the schedule prefix that reaches it."""
+class DeadlockRecord(namedtuple("DeadlockRecord", "threads schedule")):
+    """A reachable stuck state (a tuple of `BlockedThread`) plus the
+    schedule prefix that reaches it."""
 
-    threads: tuple[BlockedThread, ...]
-    schedule: tuple[int, ...]
+    __slots__ = ()
 
     def involved_mutexes(self) -> frozenset:
         names = set()
@@ -148,15 +140,9 @@ class DeadlockRecord:
         return any(name.startswith(prefix) for name in self.involved_mutexes())
 
 
-@dataclass
-class Verdict:
-    hb_races: tuple[DetectedRace, ...]
-    lockset_races: tuple[DetectedRace, ...]
-    deadlocks: tuple[DeadlockRecord, ...]
-    explored: int
-    truncated: bool
-    diagnostics: tuple[Diagnostic, ...]
-    traces: tuple = ()
+class Verdict(namedtuple("Verdict", "hb_races lockset_races deadlocks explored truncated "
+                                   "diagnostics traces")):
+    __slots__ = ()
 
     @property
     def clean(self) -> bool:
@@ -339,11 +325,10 @@ _FAULT = ("fault", None, None)
 _OVERRUN = ("fault", None, _FAULT)
 
 
-@dataclass
-class _Model:
-    globals_: dict
-    mutexes: frozenset
-    functions: dict  # name -> instruction list, see _Compiler
+class _Model(namedtuple("_Model", "globals_ mutexes functions")):
+    """`functions` maps a name to its instruction list, see _Compiler."""
+
+    __slots__ = ()
 
 
 def _c_div(a: int, b: int) -> int:

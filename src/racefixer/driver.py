@@ -17,7 +17,6 @@ race, plans the matching templates, coalesces the patches and applies them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import cst, detector as race_detector, transform
@@ -37,46 +36,68 @@ EXIT_CODES = {
 }
 
 
-@dataclass
+DETECTORS = ("builtin", "report")
+OUTPUTS = ("diff", "in_place", "out")
+
+
 class FixConfig:
-    source: str
-    detector: str = "builtin"  # "builtin" | "report"
-    reports: tuple[str, ...] = ()
-    max_iterations: int = 10
-    bound: int = race_detector.DEFAULT_BOUND
-    output: str = "diff"  # "in_place" | "out" | "diff"
-    out_path: str | None = None
-    lockset_mode: str = "hb"
+    """What `run` fixes and how; every value is checked here, before the
+    source is read."""
 
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
+    __slots__ = ("source", "detector", "reports", "max_iterations", "bound", "output",
+                 "out_path", "lockset_mode")
+
+    def __init__(self, source: str, detector: str = "builtin", reports: tuple[str, ...] = (),
+                 max_iterations: int = 10, bound: int = race_detector.DEFAULT_BOUND,
+                 output: str = "diff", out_path: str | None = None, lockset_mode: str = "hb"):
+        if detector not in DETECTORS:
+            raise ValueError(f"unknown detector: {detector!r}")
+        if output not in OUTPUTS:
+            raise ValueError(f"unknown output: {output!r}")
+        if max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.detector == "report" and not self.reports:
+        if detector == "report" and not reports:
             raise ValueError("detector=report requires at least one report file")
-        if self.detector == "builtin" and self.reports:
+        if detector == "builtin" and reports:
             raise ValueError("report files are read only with detector=report")
-        if self.output == "out" and not self.out_path:
+        if output == "out" and not out_path:
             raise ValueError("output=out requires an output path")
-        if self.lockset_mode not in race_detector.LOCKSET_MODES:
-            raise ValueError(f"unknown lockset mode: {self.lockset_mode!r}")
+        if lockset_mode not in race_detector.LOCKSET_MODES:
+            raise ValueError(f"unknown lockset mode: {lockset_mode!r}")
+        self.source = source
+        self.detector = detector
+        self.reports = reports
+        self.max_iterations = max_iterations
+        self.bound = bound
+        self.output = output
+        self.out_path = out_path
+        self.lockset_mode = lockset_mode
 
 
-@dataclass
 class IterationRecord:
-    index: int
-    races: RaceSet
-    applied: int = 0
-    skipped: list[tuple[DataRace, str]] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    """One detect-and-patch round: the races found, the patches applied,
+    the (race, reason) pairs skipped and the notes patches carry."""
+
+    __slots__ = ("index", "races", "applied", "skipped", "notes")
+
+    def __init__(self, index: int, races: RaceSet):
+        self.index = index
+        self.races = races
+        self.applied = 0
+        self.skipped: list[tuple[DataRace, str]] = []
+        self.notes: list[str] = []
 
 
-@dataclass
 class FixReport:
-    status: str
-    iterations: list[IterationRecord]
-    original_text: str
-    final_text: str
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    __slots__ = ("status", "iterations", "original_text", "final_text", "diagnostics")
+
+    def __init__(self, status: str, iterations: list[IterationRecord], original_text: str,
+                 final_text: str):
+        self.status = status
+        self.iterations = iterations
+        self.original_text = original_text
+        self.final_text = final_text
+        self.diagnostics: list[Diagnostic] = []
 
     @property
     def exit_code(self) -> int:

@@ -13,7 +13,7 @@ Parsing is total: malformed blocks become diagnostics, never exceptions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
 
@@ -23,33 +23,30 @@ def is_identifier(name: str) -> bool:
     return (name[:1].isalpha() or name[:1] == "_") and name.replace("_", "a").isalnum()
 
 
-@dataclass(frozen=True, order=True)
-class SourceCoord:
+class SourceCoord(namedtuple("SourceCoord", "line column")):
     """1-based line/column pair, as printed in sanitizer frames."""
 
-    line: int
-    column: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.line < 1 or self.column < 1:
-            raise ValueError(f"coordinates are 1-based, got {self.line}:{self.column}")
+    def __new__(cls, line: int, column: int):
+        if line < 1 or column < 1:
+            raise ValueError(f"coordinates are 1-based, got {line}:{column}")
+        return tuple.__new__(cls, (line, column))
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class DataRace:
+class DataRace(namedtuple("DataRace", "variable first second file")):
     """One parsed race: a variable name plus the two access coordinates."""
 
-    variable: str
-    first: SourceCoord
-    second: SourceCoord
-    file: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_identifier(self.variable):
-            raise ValueError(f"not a C identifier: {self.variable!r}")
+    def __new__(cls, variable: str, first: SourceCoord, second: SourceCoord,
+                file: str | None = None):
+        if not is_identifier(variable):
+            raise ValueError(f"not a C identifier: {variable!r}")
+        return tuple.__new__(cls, (variable, first, second, file))
 
     def key(self) -> tuple:
         """Identity under (variable, unordered coordinate pair)."""
@@ -70,7 +67,6 @@ class DataRace:
         )
 
 
-@dataclass(frozen=True)
 class RaceSet:
     """Deduplicated, deterministically ordered collection of races.
 
@@ -79,7 +75,10 @@ class RaceSet:
     report happened to list first.
     """
 
-    races: tuple[DataRace, ...] = ()
+    __slots__ = ("races",)
+
+    def __init__(self, races: tuple[DataRace, ...]):
+        self.races = races
 
     @staticmethod
     def of(races: Iterable[DataRace]) -> "RaceSet":
@@ -96,23 +95,27 @@ class RaceSet:
     def __len__(self) -> int:
         return len(self.races)
 
-    def __bool__(self) -> bool:
-        return bool(self.races)
+    def __eq__(self, other) -> bool:
+        return type(other) is RaceSet and other.races == self.races
+
+    def __hash__(self) -> int:
+        return hash(self.races)
+
+    def __repr__(self) -> str:
+        return f"RaceSet(races={self.races!r})"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "warning" | "error"
-    message: str
+class Diagnostic(namedtuple("Diagnostic", "severity message")):
+    """severity is "warning", "error" or "advisory"."""
+
+    __slots__ = ()
 
     def render(self, tool: str = "rf-parse") -> str:
         return f"{tool}: {self.severity}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ParseResult:
-    races: RaceSet
-    diagnostics: tuple[Diagnostic, ...] = ()
+class ParseResult(namedtuple("ParseResult", "races diagnostics")):
+    __slots__ = ()
 
 
 _WARNING_MARK = "WARNING: ThreadSanitizer: data race"

@@ -22,7 +22,7 @@ sections.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 from .cst import (
     ADDR_OF,
@@ -72,11 +72,10 @@ class UnsupportedControlFlow(Exception):
     """The template would leave the lock state wrong on some path."""
 
 
-@dataclass
-class MutexPlan:
-    variable: str
-    mutex_name: str
-    decl_insertion: TextEdit | None  # None when the file already declares the mutex
+class MutexPlan(namedtuple("MutexPlan", "variable mutex_name decl_insertion")):
+    """`decl_insertion` is None when the file already declares the mutex."""
+
+    __slots__ = ()
 
     @property
     def lock_call(self) -> str:
@@ -87,25 +86,30 @@ class MutexPlan:
         return f"pthread_mutex_unlock(&{self.mutex_name});"
 
 
-@dataclass
 class Patch:
-    template: str
-    mutex: MutexPlan
-    edits: list[TextEdit] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    region: tuple[int, int] = (0, 0)  # source span the template reshapes
-    moved: list[tuple[int, int]] = field(default_factory=list)  # braced branches that move in
+    """A template's edits to one statement; `region` is the source span the
+    template reshapes, `moved` the braced branches that move in."""
+
+    __slots__ = ("template", "mutex", "edits", "notes", "region", "moved")
+
+    def __init__(self, template: str, mutex: MutexPlan, region: tuple[int, int]):
+        self.template = template
+        self.mutex = mutex
+        self.edits: list[TextEdit] = []
+        self.notes: list[str] = []
+        self.region = region
+        self.moved: list[tuple[int, int]] = []
 
     @property
     def empty(self) -> bool:
         return not self.edits
 
 
-@dataclass
-class CoalesceResult:
-    patches: list[Patch]
-    deferred: list[tuple[Patch, str]]
-    edits: list[TextEdit]
+class CoalesceResult(namedtuple("CoalesceResult", "patches deferred edits")):
+    """The accepted patches, the (patch, reason) pairs deferred, and the
+    edits of the accepted ones."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +144,7 @@ def _shift(edit: TextEdit, text: str, indent: str) -> TextEdit:
     if not edit.replacement:
         return edit
     lead = indent if text[edit.start - 1] == "\n" else ""
-    return replace(edit, replacement=lead + _LINE_BREAK_RE.sub("\n" + indent, edit.replacement))
+    return edit._replace(replacement=lead + _LINE_BREAK_RE.sub("\n" + indent, edit.replacement))
 
 
 def indent_unit(text: str) -> str:

@@ -1,5 +1,7 @@
 """The fix-until-clean loop, rollback, output modes, diffs, and the CLI."""
 
+import inspect
+
 import pytest
 
 from racefixer import FixConfig, UnsupportedConstruct, explore, parse_source, run
@@ -334,6 +336,19 @@ class TestRunReportMode:
         # the file does not exist: reading it would raise OSError instead
         with pytest.raises(ValueError, match="unknown lockset mode: 'bogus'"):
             FixConfig(source="no/such/file.c", lockset_mode="bogus")
+
+    @pytest.mark.parametrize("field", ["detector", "output"])
+    def test_unknown_detector_or_output_rejected_before_the_file_is_read(self, field):
+        with pytest.raises(ValueError, match=f"unknown {field}: 'bogus'"):
+            FixConfig(source="no/such/file.c", **{field: "bogus"})
+
+    def test_config_keywords_and_defaults(self):
+        params = inspect.signature(FixConfig).parameters
+        assert {name: param.default for name, param in params.items()} == {
+            "source": inspect.Parameter.empty, "detector": "builtin", "reports": (),
+            "max_iterations": 10, "bound": 100_000, "output": "diff", "out_path": None,
+            "lockset_mode": "hb",
+        }
 
 
 class TestOutputModes:

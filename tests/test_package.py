@@ -1,6 +1,9 @@
 """The package surface: exactly the names the README's "Library use" lists."""
 
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import racefixer
 from conftest import TESTS_DIR
@@ -24,3 +27,14 @@ def test_all_is_the_readme_surface():
 def test_every_exported_name_resolves():
     for name in racefixer.__all__:
         assert getattr(racefixer, name) is not None, name
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # A fresh interpreter, since this one has imported dataclasses already;
+    # -S keeps site hooks from importing it first and hiding an import.
+    src = str(Path(racefixer.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import racefixer.cli; "
+            "print('dataclasses' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", code, src],
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout == "False\n"

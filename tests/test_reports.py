@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from racefixer import parse_report
-from racefixer.cst import _tokenize
-from racefixer.reports import DataRace, RaceSet, SourceCoord, format_summary, merge_runs
+from racefixer.cst import TextEdit, _tokenize
+from racefixer.reports import (
+    DataRace, Diagnostic, RaceSet, SourceCoord, format_summary, merge_runs,
+)
 
 from conftest import fixture
 
@@ -154,6 +156,51 @@ def test_coordinates_must_be_positive():
 def test_variable_must_be_identifier():
     with pytest.raises(ValueError):
         DataRace("not an ident!", SourceCoord(1, 1), SourceCoord(2, 2))
+
+
+class TestValueSemantics:
+    """What the records keep from being frozen, ordered value types."""
+
+    def test_coordinates_order_by_line_then_column(self):
+        coords = [SourceCoord(3, 1), SourceCoord(1, 9), SourceCoord(2, 5), SourceCoord(1, 2)]
+        assert sorted(coords) == [SourceCoord(1, 2), SourceCoord(1, 9), SourceCoord(2, 5),
+                                  SourceCoord(3, 1)]
+        assert SourceCoord(1, 9) < SourceCoord(2, 1) <= SourceCoord(2, 1)
+        assert max(coords) == SourceCoord(3, 1)
+
+    def test_equal_coordinates_are_one_dict_key(self):
+        seen = {SourceCoord(4, 5): "first"}
+        seen[SourceCoord(4, 5)] = "second"
+        assert seen == {SourceCoord(4, 5): "second"}
+        assert SourceCoord(4, 5) != SourceCoord(5, 4)
+
+    def test_race_key_and_canonical(self):
+        forward, backward = race("g", 3, 4, 9, 2), race("g", 9, 2, 3, 4)
+        assert forward.key() == backward.key() == ("g", SourceCoord(3, 4), SourceCoord(9, 2))
+        assert forward.canonical() is forward
+        assert backward.canonical() == forward
+        assert race("g", 3, 4, 9, 2) == forward and forward != race("h", 3, 4, 9, 2)
+        flipped = DataRace("g", SourceCoord(9, 2), SourceCoord(3, 4), "a.c").canonical()
+        assert flipped == DataRace("g", SourceCoord(3, 4), SourceCoord(9, 2), "a.c")
+
+    def test_diagnostics_are_dict_keys_in_the_order_found(self):
+        found = {}
+        for diag in (Diagnostic("warning", "b"), Diagnostic("error", "a"),
+                     Diagnostic("warning", "b"), Diagnostic("warning", "a")):
+            found.setdefault(diag)
+        assert list(found) == [Diagnostic("warning", "b"), Diagnostic("error", "a"),
+                               Diagnostic("warning", "a")]
+
+    @pytest.mark.parametrize("record, field", [
+        (SourceCoord(1, 2), "line"),
+        (race("g", 1, 1, 2, 2), "variable"),
+        (TextEdit(0, 0, "x"), "replacement"),
+    ])
+    def test_records_cannot_be_assigned(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
 
 
 @pytest.mark.parametrize("name", ["1x", "½x", ""])
