@@ -438,25 +438,22 @@ class _Parser:
         return node
 
     def if_stmt(self) -> CstNode:
-        if_token = self.take()
-        children = [if_token, self.expect("(")]
+        children = [self.take(), self.expect("(")]
         cond = self.expression()
         children += [cond, self.expect(")")]
         then = self.statement()
         children.append(then)
-        else_token = els = None
+        els = None
         if self.tok.text == "else":
-            else_token = self.take()
+            children.append(self.take())
             els = self.statement()
-            children += [else_token, els]
+            children.append(els)
         node = CstNode(IF_STMT, children)
         cond.parent = then.parent = node
         if els is not None:
             els.parent = node
-        node.if_token = if_token
         node.cond = cond
         node.then = then
-        node.else_token = else_token
         node.els = els
         return node
 
@@ -608,18 +605,25 @@ def emit(tree: CstNode) -> str:
 # ---------------------------------------------------------------------------
 
 
+def chain_head(if_node: CstNode) -> CstNode:
+    """The first ``if`` of the else-if chain that `if_node` ends: `if_node`
+    itself unless it is the else branch of another ``if``."""
+    while if_node.parent.kind == IF_STMT and if_node is if_node.parent.els:
+        if_node = if_node.parent
+    return if_node
+
+
 def _classify(identifier: CstNode) -> StatementHandle:
     node: CstNode = identifier
     while node.parent is not None:
         child, node = node, node.parent
         if node.kind == IF_STMT and child is node.cond:
-            parent = node.parent
-            if parent.kind == COMPOUND_STMT:
-                return StatementHandle(node, ROLE_IF_CONDITION, identifier)
-            if parent.kind == IF_STMT and node is parent.els:
-                return StatementHandle(node, ROLE_ELSE_IF_CONDITION, identifier)
-            return StatementHandle(node, ROLE_UNSUPPORTED, identifier,
-                                   reason="if condition inside an unbraced branch")
+            head = chain_head(node)
+            if head.parent.kind != COMPOUND_STMT:
+                return StatementHandle(node, ROLE_UNSUPPORTED, identifier,
+                                       reason="if condition inside an unbraced branch")
+            role = ROLE_IF_CONDITION if head is node else ROLE_ELSE_IF_CONDITION
+            return StatementHandle(node, role, identifier)
         if node.kind == WHILE_STMT and child is node.cond:
             parent = node.parent
             if parent.kind == COMPOUND_STMT:

@@ -75,17 +75,16 @@ class FixConfig:
 
 
 class IterationRecord:
-    """One detect-and-patch round: the races found, the patches applied,
-    the (race, reason) pairs skipped and the notes patches carry."""
+    """One detect-and-patch round: the races found, the patches applied
+    and the (race, reason) pairs skipped."""
 
-    __slots__ = ("index", "races", "applied", "skipped", "notes")
+    __slots__ = ("index", "races", "applied", "skipped")
 
     def __init__(self, index: int, races: RaceSet):
         self.index = index
         self.races = races
         self.applied = 0
         self.skipped: list[tuple[DataRace, str]] = []
-        self.notes: list[str] = []
 
 
 class FixReport:
@@ -156,9 +155,10 @@ def _plan_patches(tree, races: RaceSet, record: IterationRecord,
 
     When several accesses of one variable land on the same statement
     (for example a racy while condition whose unbraced body also touches
-    the variable), one patch serves them all; a whole-statement wrap
-    wins over a condition template because it guards strictly more.
-    Returns the groups that got a patch.
+    the variable), or on conditions of one else-if chain, one patch
+    serves them all.  A whole-statement wrap wins over a condition
+    template, and a later link of a chain over an earlier one, because
+    each guards strictly more.  Returns the groups that got a patch.
     """
     plans: dict[str, transform.MutexPlan] = {}
     groups: dict[tuple, _Group] = {}  # (variable, statement identity) -> group
@@ -184,26 +184,25 @@ def _plan_patches(tree, races: RaceSet, record: IterationRecord,
             if handle.role == cst.ROLE_UNSUPPORTED:
                 race_reasons[race].append(f"{coord}: {handle.reason}")
                 continue
-            key = (race.variable, id(handle.node))
+            node = handle.node
+            if handle.role in (cst.ROLE_IF_CONDITION, cst.ROLE_ELSE_IF_CONDITION):
+                node = cst.chain_head(node)
+            key = (race.variable, id(node))
             group = groups.get(key)
             if group is None:
                 group = groups[key] = _Group(plan, handle)
-            elif handle.role == cst.ROLE_PLAIN and group.handle.role != cst.ROLE_PLAIN:
+            elif group.handle.role != cst.ROLE_PLAIN and (
+                    handle.role == cst.ROLE_PLAIN
+                    or handle.node.span.start_offset > group.handle.node.span.start_offset):
                 group.handle = handle
             group.races.append(race)
 
-    patches: list[transform.Patch] = []
     for group in groups.values():
         try:
             group.patch = transform.patch_for(group.handle, group.plan)
         except transform.UnsupportedControlFlow as exc:
             for race in group.races:
                 race_reasons[race].append(f"{group.handle.node.span.start}: {exc}")
-            continue
-        patches.append(group.patch)
-        for note in group.patch.notes:
-            if note not in record.notes:
-                record.notes.append(note)
 
     patched = [group for group in groups.values() if group.patch is not None]
     covered = {race for group in patched for race in group.races}

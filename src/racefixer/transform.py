@@ -7,7 +7,8 @@ edits that wrap the statement:
 * plain statement        -> lock the line above, unlock the line below
 * if with else           -> lock above the ``if``, unlock first in both branches
 * if without else        -> same, with an unlocking ``else`` synthesized
-* else-if                -> split the chain, then treat the new ``if`` as above
+* else-if                -> same, over the chain: lock above its head, unlock
+                            first in every arm up to and around the racy link
 * while condition        -> lock above, unlock at body start, re-lock at
                             body end, unlock after the loop
 
@@ -31,7 +32,6 @@ from .cst import (
     COMPOUND_STMT,
     CONTINUE_STMT,
     EXPR_STMT,
-    FUNC_DEF,
     IF_STMT,
     MUTEX_DECL,
     RETURN_STMT,
@@ -44,24 +44,19 @@ from .cst import (
     CstNode,
     StatementHandle,
     TextEdit,
+    chain_head,
     check_overlaps,
 )
 
 MUTEX_PREFIX = "__rf_mutex_"
 LOCK_MARKER = "// lock added by RaceFixer"
 UNLOCK_MARKER = "// unlock added by RaceFixer"
-ISOLATED_MARKER = "// isolated if statement"
-SPLIT_MARKER = "// new if statement generated from else if"
 
 TEMPLATE_PLAIN = "PlainStatement"
 TEMPLATE_IF_WITH_ELSE = "IfWithElse"
 TEMPLATE_IF_WITHOUT_ELSE = "IfWithoutElse"
-TEMPLATE_ELSE_IF = "ElseIfSplit"
+TEMPLATE_ELSE_IF = "ElseIfChain"
 TEMPLATE_WHILE = "WhileCondition"
-
-SEMANTICS_CHANGED = (
-    "splitting the else-if changes behavior when the preceding condition holds"
-)
 
 
 class UnknownVariable(Exception):
@@ -87,17 +82,15 @@ class MutexPlan(namedtuple("MutexPlan", "variable mutex_name decl_insertion")):
 
 
 class Patch:
-    """A template's edits to one statement; `region` is the source span the
-    template reshapes, `moved` the braced branches that move in."""
+    """A template's edits to one statement; `moved` holds the braced
+    branches that move in."""
 
-    __slots__ = ("template", "mutex", "edits", "notes", "region", "moved")
+    __slots__ = ("template", "mutex", "edits", "moved")
 
-    def __init__(self, template: str, mutex: MutexPlan, region: tuple[int, int]):
+    def __init__(self, template: str, mutex: MutexPlan):
         self.template = template
         self.mutex = mutex
         self.edits: list[TextEdit] = []
-        self.notes: list[str] = []
-        self.region = region
         self.moved: list[tuple[int, int]] = []
 
     @property
@@ -366,9 +359,8 @@ def _begin(handle: StatementHandle, mutex: MutexPlan, template: str, stmt: CstNo
     """The patch of a template that reshapes `stmt`, and the layout its edits
     need: (text, indent unit, indent of `stmt`, ordering column).  The layout
     is None, and the patch stays without edits, when `stmt` is already wrapped."""
-    patch = Patch(template, mutex, region=(stmt.span.start_offset, stmt.span.end_offset))
+    patch = Patch(template, mutex)
     if _already_wrapped(stmt, mutex):
-        patch.notes.append("already wrapped; no edits")
         return patch, None
     text = stmt.root().text
     return patch, (text, indent_unit(text), _line_indent(text, stmt.span.start_offset),
@@ -388,73 +380,41 @@ def fix_plain(handle: StatementHandle, mutex: MutexPlan) -> Patch:
     return patch
 
 
-def _fix_if(handle: StatementHandle, mutex: MutexPlan, template: str) -> Patch:
-    ifnode = handle.node
-    patch, layout = _begin(handle, mutex, template, ifnode)
+def _fix_if(handle: StatementHandle, mutex: MutexPlan, template: str, head: CstNode) -> Patch:
+    """Lock above `head`, the first ``if`` of the chain that ends at the
+    racy one; unlock first in the then branch of every link before it,
+    and in both branches of the racy one."""
+    racy = handle.node
+    patch, layout = _begin(handle, mutex, template, head)
     if layout is None:
         return patch
     text, unit, ind, col = layout
-    patch.edits.append(_lock_before(text, ifnode, mutex, col))
-    _unlock_both_arms(patch, text, ifnode, ind, unit, col)
+    patch.edits.append(_lock_before(text, head, mutex, col))
+    link = head
+    while link is not racy:
+        _branch_entry_unlock(patch, text, link.then, ind, unit, col)
+        link = link.els
+    _unlock_both_arms(patch, text, racy, ind, unit, col)
     return patch
 
 
 def fix_if_with_else(handle: StatementHandle, mutex: MutexPlan) -> Patch:
     """Lock above the if; unlock first inside both existing branches."""
     assert handle.node.els is not None
-    return _fix_if(handle, mutex, TEMPLATE_IF_WITH_ELSE)
+    return _fix_if(handle, mutex, TEMPLATE_IF_WITH_ELSE, handle.node)
 
 
 def fix_if_without_else(handle: StatementHandle, mutex: MutexPlan) -> Patch:
     """Lock above the if; unlock in the then branch and a synthesized else."""
     assert handle.node.els is None
-    return _fix_if(handle, mutex, TEMPLATE_IF_WITHOUT_ELSE)
+    return _fix_if(handle, mutex, TEMPLATE_IF_WITHOUT_ELSE, handle.node)
 
 
 def fix_else_if(handle: StatementHandle, mutex: MutexPlan) -> Patch:
-    """Detach the racy else-if into its own if, then lock it as usual.
-
-    The chain up to the racy link is left standing; the ``else`` keyword
-    joining them is deleted, which makes the racy if a separate
-    statement in place.  Control flow changes when the preceding
-    condition holds, so the patch carries a diagnostic note.
-    """
-    racy = handle.node
-    parent_if = racy.parent
-    assert parent_if.kind == IF_STMT and racy is parent_if.els
-
-    head = parent_if
-    while head.parent.kind == IF_STMT and head is head.parent.els:
-        head = head.parent
-    if head.parent.kind != COMPOUND_STMT:
-        raise UnsupportedControlFlow("else-if chain sits in an unbraced context")
-
-    # the whole chain is the restructured region, head through racy link
-    patch, layout = _begin(handle, mutex, TEMPLATE_ELSE_IF, head)
-    if layout is None:
-        return patch
-    text, unit, ind, col = layout
-
-    if _starts_its_line(text, head.span.start_offset):
-        pos = _line_start(text, head.span.start_offset)
-        patch.edits.append(TextEdit(pos, pos, f"{ind}{ISOLATED_MARKER}\n", kind="comment"))
-
-    else_tok = parent_if.else_token
-    if_tok = racy.if_token
-    # Eat the whitespace before 'else' too, unless a comment lives there.
-    cut_from = else_tok.offset
-    if else_tok.leading.strip() == "":
-        cut_from = parent_if.then.span.end_offset
-    patch.edits.append(TextEdit(cut_from, if_tok.offset, "", kind="split"))
-    lead = (
-        f"\n{ind}{SPLIT_MARKER}\n{ind}{LOCK_MARKER}\n{ind}{mutex.lock_call}\n{ind}"
-    )
-    patch.edits.append(TextEdit(if_tok.offset, if_tok.offset, lead,
-                                kind="lock", mutex=mutex.mutex_name,
-                                anchor=if_tok.offset, order_col=col))
-    _unlock_both_arms(patch, text, racy, ind, unit, col)
-    patch.notes.append(SEMANTICS_CHANGED)
-    return patch
+    """Lock above the chain's head; every condition up to the racy one is
+    read under the guard, and every path out of them releases it.  The
+    chain keeps its shape, so the program keeps its behaviour."""
+    return _fix_if(handle, mutex, TEMPLATE_ELSE_IF, chain_head(handle.node))
 
 
 def fix_while(handle: StatementHandle, mutex: MutexPlan) -> Patch:
@@ -499,29 +459,19 @@ _COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
 
 # Edits that synthesize new structure (braces, else arms); two of these
 # from different patches cannot stack at one offset.
-_SYNTH_KINDS = frozenset({"else_synth", "brace_lock_unlock", "split"})
+_SYNTH_KINDS = frozenset({"else_synth", "brace_lock_unlock"})
 
 
 def _blank_or_comments(segment: str) -> bool:
     return _COMMENT_RE.sub("", segment).strip() == ""
 
 
-def _regions_intersect(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[0] < b[1] and b[0] < a[1]
-
-
 def _patches_conflict(a: Patch, b: Patch) -> bool:
-    """True when the two patches cannot compose into valid syntax.
-
-    An else-if split rewrites its whole chain, so nothing else may touch
-    that region in the same round; and structure-synthesizing edits from
-    two patches cannot land on the same offset.
-    """
+    """True when the two patches cannot compose into valid syntax:
+    structure-synthesizing edits from two patches cannot land on the
+    same offset."""
     if a.mutex.mutex_name == b.mutex.mutex_name:
         return False  # same guard: planner groups these, edits compose
-    if TEMPLATE_ELSE_IF in (a.template, b.template):
-        if _regions_intersect(a.region, b.region):
-            return True
     synth_a = {e.start for e in a.edits if e.kind in _SYNTH_KINDS}
     synth_b = {e.start for e in b.edits if e.kind in _SYNTH_KINDS}
     return any(e.start in synth_b for e in a.edits) or any(
@@ -603,58 +553,3 @@ def coalesce(patches: list[Patch], text: str) -> CoalesceResult:
     edits = sorted(edits + indents, key=lambda e: (e.start, e.sort_anchor, e.order_col))
 
     return CoalesceResult(accepted, deferred, edits)
-
-
-# ---------------------------------------------------------------------------
-# Static lock-balance check over the patched tree
-# ---------------------------------------------------------------------------
-
-
-def check_lock_balance(tree: CstNode) -> list[str]:
-    """Walk every path of every function; report lock-state problems.
-
-    Loops are checked for zero and one iteration, which is enough to
-    catch any per-iteration imbalance.
-    """
-    problems: list[str] = []
-
-    def step(stmt: CstNode, states: set[frozenset]) -> set[frozenset]:
-        kind = stmt.kind
-        if kind == EXPR_STMT and stmt.expr.kind == CALL_EXPR:
-            call = stmt.expr
-            name = call.callee.name
-            if name in ("pthread_mutex_lock", "pthread_mutex_unlock") and call.args \
-                    and call.args[0].kind == ADDR_OF:
-                mutex = call.args[0].operand.name
-                out = set()
-                for held in states:
-                    if name == "pthread_mutex_lock":
-                        if mutex in held:
-                            problems.append(f"{mutex} locked twice on one path")
-                        out.add(held | {mutex})
-                    else:
-                        if mutex not in held:
-                            problems.append(f"{mutex} unlocked while not held")
-                        out.add(held - {mutex})
-                return out
-            return states
-        if kind == COMPOUND_STMT:
-            for sub in stmt.statements:
-                states = step(sub, states)
-            return states
-        if kind == IF_STMT:
-            taken = step(stmt.then, states)
-            skipped = step(stmt.els, states) if stmt.els is not None else states
-            return taken | skipped
-        if kind == WHILE_STMT:
-            return states | step(stmt.body, states)
-        return states
-
-    for fn in tree.child_nodes():
-        if fn.kind != FUNC_DEF:
-            continue
-        finals = step(fn.body, {frozenset()})
-        for held in finals:
-            for mutex in sorted(held):
-                problems.append(f"{fn.name} can return with {mutex} still held")
-    return problems

@@ -18,6 +18,13 @@ a shared global that can be zero; the nested worker then writes a shared
 global.  To keep exhaustive search small, main runs one statement with no
 loop or branch, and the worker nothing else.
 
+With ``chain=True`` the worker ends with an else-if chain, in place of
+its random statements: the head and the link each test a shared global,
+and each arm bumps ``C``, a global only the worker touches.  The head
+can hold in a schedule where the link's read races, and ``C`` ends at 1
+at most, so a patch that lets the link run after the head has held
+shows as a final state the program never had.
+
 The options add to the programs; without them every seed gives the
 program it always gave.
 """
@@ -28,13 +35,15 @@ _GLOBALS = ["G", "H", "K"]
 
 
 class ConcurrentProgramGenerator:
-    def __init__(self, seed: int, read_run: bool = False, private: bool = False):
+    def __init__(self, seed: int, read_run: bool = False, private: bool = False,
+                 chain: bool = False):
         self.rng = random.Random(seed)
         self.globals = self.rng.sample(_GLOBALS, self.rng.randint(1, 3))
         self.use_mutex = self.rng.random() < 0.35
         self.read_run = read_run
-        # a source of its own for the private parts
+        # sources of their own for the private parts and the chain
         self.private = random.Random(-1 - seed) if private else None
+        self.chain = random.Random(f"chain{seed}") if chain else None
 
     def _value(self) -> str:
         rng = self.rng
@@ -64,6 +73,13 @@ class ConcurrentProgramGenerator:
             f"    if ({name} == 0) {{\n        {name} = {rng.randint(1, 2)};\n    }}\n",
             f"    {name} = 2 / {shared};\n",
         ])
+
+    def _chain(self) -> str:
+        rng = self.chain
+        head, link = (f"{rng.choice(self.globals)} {rng.choice(['==', '!=', '<', '>'])} "
+                      f"{rng.randint(0, 2)}" for _ in range(2))
+        return (f"    if ({head}) {{\n        C = C + 1;\n"
+                f"    }} else if ({link}) {{\n        C = C + 1;\n    }}\n")
 
     def _statement(self, indent: str, depth: int, budget: list) -> str:
         rng = self.rng
@@ -106,6 +122,8 @@ class ConcurrentProgramGenerator:
             parts.append("int R;\n")
         if self.private:
             parts.append("int P;\nint Q;\n")
+        if self.chain:
+            parts.append("int C;\n")
         if self.use_mutex:
             parts.append("pthread_mutex_t m = PTHREAD_MUTEX_INITIALIZER;\n")
         parts.append("\n")
@@ -118,12 +136,15 @@ class ConcurrentProgramGenerator:
             worker = [self._read_r("    ")] if self.read_run else []
             worker.insert(own.randint(0, len(worker)), self._own("P"))
             worker.insert(own.randint(0, len(worker)), "    pthread_create(&u, 0, Nested, 0);\n")
-            worker = ["    pthread_t u;\n", *worker, "    pthread_join(u, 0);\n"]
         else:
-            budget = [rng.randint(1, 3)]
+            budget = [0 if self.chain else rng.randint(1, 3)]
             worker = [self._read_r("    ")] if self.read_run else []
             while budget[0] > 0:
                 worker.append(self._statement("    ", 0, budget))
+        if self.chain:
+            worker.append(self._chain())
+        if self.private:
+            worker = ["    pthread_t u;\n", *worker, "    pthread_join(u, 0);\n"]
         parts.append("void *Worker(void *arg) {\n")
         parts.extend(worker)
         parts.append("    return 0;\n}\n\n")
@@ -148,5 +169,6 @@ class ConcurrentProgramGenerator:
         return "".join(parts)
 
 
-def generate_concurrent(seed: int, read_run: bool = False, private: bool = False) -> str:
-    return ConcurrentProgramGenerator(seed, read_run, private).program()
+def generate_concurrent(seed: int, read_run: bool = False, private: bool = False,
+                        chain: bool = False) -> str:
+    return ConcurrentProgramGenerator(seed, read_run, private, chain).program()

@@ -9,9 +9,15 @@ conflicting access pair unreachable in both directions is a race.
 
 This is the slow, direct alternative to the vector clocks used by the
 detector: same semantics, no timestamps.
+
+`final_states` collects what a program can end with, over every
+schedule, so that a fix can be checked to add no behaviour.
 """
 
 from collections import defaultdict
+
+from racefixer import parse_source
+from racefixer.detector import DEFAULT_STEP_BUDGET, _Exhaustive, _Run, build_model
 
 
 def trace_races(trace) -> set:
@@ -88,3 +94,29 @@ def all_races(traces) -> set:
     for trace in traces:
         races |= trace_races(trace)
     return races
+
+
+def final_states(tree, bound: int = 20_000) -> set:
+    """The final values of the program's globals, one sorted tuple of
+    (name, value) pairs per outcome, over every complete schedule of
+    ``reduction="none"`` that neither faults nor deadlocks."""
+    search = _Exhaustive()
+    run = _Run(build_model(tree, local=False), DEFAULT_STEP_BUDGET, False, {}, {}, {})
+    states = set()
+    explored = 0
+    while run is not None:
+        assert explored < bound, "program exceeded the final-state bound"
+        run.execute(search.choose)
+        explored += 1
+        if not run.aborted and run.deadlock is None:
+            states.add(tuple(sorted(run.globals_.items())))
+        run = search.advance(run)
+    return states
+
+
+def assert_refines(patched: str, original: str) -> None:
+    """Every final state of `patched` is one `original` can reach: the
+    guards a fix adds change no shared data, so they may remove outcomes
+    but never add one."""
+    added = final_states(parse_source(patched)) - final_states(parse_source(original))
+    assert not added, f"outcomes the original never reaches: {sorted(added)}\n{patched}"

@@ -225,6 +225,23 @@ class TestLocate:
         handle = locate(tree, "Mode", SourceCoord(7, 16))
         assert handle.role == cst.ROLE_ELSE_IF_CONDITION
         assert handle.node.parent.kind == cst.IF_STMT
+        assert cst.chain_head(handle.node) is handle.node.parent
+
+    def test_chain_head_of_a_three_link_chain(self):
+        text = ("int g;\nint main() {\n    if (g == 1) {\n    } else if (g == 2) {\n"
+                "    } else if (g == 3) {\n    }\n    return 0;\n}\n")
+        tree = parse_source(text)
+        head = tree.child_nodes()[-1].body.statements[0]
+        for coord in (SourceCoord(3, 9), SourceCoord(4, 16), SourceCoord(5, 16)):
+            assert cst.chain_head(locate(tree, "g", coord).node) is head
+
+    def test_else_if_whose_chain_sits_in_an_unbraced_branch_is_unsupported(self):
+        text = ("int g;\nint main() {\n    while (g) if (g == 1) g = 0;\n"
+                "    else if (g == 2) g = 1;\n    return 0;\n}\n")
+        tree = parse_source(text)
+        handle = locate(tree, "g", SourceCoord(4, 14))
+        assert handle.role == cst.ROLE_UNSUPPORTED
+        assert handle.reason == "if condition inside an unbraced branch"
 
     def test_not_found(self):
         tree = parse_source("int x;\n")

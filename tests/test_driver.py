@@ -98,11 +98,30 @@ class TestRunBuiltin:
         assert lines[0] == "iteration=1 races=1 fixed=2 skipped=0"
         assert lines[-1] == "status=Clean"
 
-    def test_semantics_note_surfaces_for_else_if(self, tmp_source):
+    def test_else_if_fix_keeps_the_chain(self, tmp_source):
         path = tmp_source("race_else_if.c")
         report = run(FixConfig(source=str(path)))
         assert report.status == STATUS_CLEAN
-        assert any("changes behavior" in n for n in report.iterations[0].notes)
+        assert "    } else if (Mode) {\n" in report.final_text
+        assert report.final_text.count("pthread_mutex_lock(&__rf_mutex_Mode);\n    if (Level") == 1
+
+    def test_variable_racing_in_chain_head_and_later_link(self, tmp_path):
+        # both conditions read G: one guard from the head serves both
+        path = tmp_path / "prog.c"
+        path.write_text(
+            "int G;\nint Out;\n\nvoid *Thread1(void *x) {\n"
+            "    if (G > 1) {\n        Out = 1;\n    } else if (G == 1) {\n        Out = 2;\n    }\n"
+            "    return 0;\n}\n\nint main() {\n    pthread_t t;\n"
+            "    pthread_create(&t, 0, Thread1, 0);\n    G = 1;\n    pthread_join(t, 0);\n"
+            "    return Out;\n}\n"
+        )
+        report = run(FixConfig(source=str(path)))
+        assert report.status == STATUS_CLEAN and report.exit_code == 0
+        assert report.log_lines()[0] == "iteration=1 races=2 fixed=2 skipped=0"
+        thread1 = report.final_text.split("int main")[0]
+        assert thread1.count("pthread_mutex_lock(&__rf_mutex_G);") == 1
+        assert "pthread_mutex_lock(&__rf_mutex_G);\n    if (G > 1) {\n" in thread1
+        assert thread1.count("pthread_mutex_unlock(&__rf_mutex_G);") == 3
 
 
 # The built-in fix of `deferred_race_program`: the else-if is detached into

@@ -29,7 +29,8 @@ EXPLORED_CORPUS = {
     "adjacent_merge.c": 9, "chain3.c": 1, "clean_locked.c": 2, "comments_heavy.c": 36,
     "deadlock_abba.c": 3, "deadlock_user.c": 4, "decls.c": 1, "lockset_join.c": 1,
     "lockset_single.c": 1, "loop_break.c": 2, "nested_while_merge.c": 45, "operators.c": 1,
-    "race_else_if.c": 2, "race_if_else.c": 2, "race_if_no_else.c": 2, "race_plain.c": 2,
+    "race_else_if.c": 2, "race_else_if_locked_head.c": 3, "race_if_else.c": 2,
+    "race_if_no_else.c": 2, "race_plain.c": 2,
     "race_two_vars.c": 4, "race_while.c": 26, "return_race.c": 2, "self_deadlock.c": 1,
     "single_line.c": 1, "unbraced.c": 1, "unlock_unheld.c": 1,
 }
@@ -51,7 +52,8 @@ TRACES_CORPUS = {
     "decls.c": "10ad2b299afd28d5", "lockset_join.c": "411e143335939750",
     "lockset_single.c": "e3b0c44298fc1c14", "loop_break.c": "58f205b04eb48ad3",
     "nested_while_merge.c": "7d4debba88e4adc1", "operators.c": "e3b0c44298fc1c14",
-    "race_else_if.c": "072071b3b64c9adb", "race_if_else.c": "bce472a58c9ce78e",
+    "race_else_if.c": "072071b3b64c9adb", "race_else_if_locked_head.c": "f83ec73752700b06",
+    "race_if_else.c": "bce472a58c9ce78e",
     "race_if_no_else.c": "c426cccefd86c01e", "race_plain.c": "0630be5ee4395b88",
     "race_two_vars.c": "f6d0fd5fe71179b2", "race_while.c": "7a309c478b3aa40b",
     "return_race.c": "d105bc571ca1a253", "self_deadlock.c": "c404cb4e30e8e1cb",
@@ -86,7 +88,8 @@ VERDICTS_CORPUS = {
     "decls.c": "cd4780d75e124dbc", "lockset_join.c": "e0823b1b99478a3c",
     "lockset_single.c": "54fe554c8cac36bb", "loop_break.c": "d677bbd1fc5190e5",
     "nested_while_merge.c": "f5293c5e63cc0016", "operators.c": "70b7594b452e0396",
-    "race_else_if.c": "9bd68fc0b0379cf7", "race_if_else.c": "3b6c711f7c295e78",
+    "race_else_if.c": "9bd68fc0b0379cf7", "race_else_if_locked_head.c": "ed2ba4729a4c6333",
+    "race_if_else.c": "3b6c711f7c295e78",
     "race_if_no_else.c": "cc2019137e31ac41", "race_plain.c": "da5039112b794a12",
     "race_two_vars.c": "dfadbde1907bde65", "race_while.c": "0255f894984dbd0e",
     "return_race.c": "8d7d36d73dfed457", "self_deadlock.c": "30553280b7d84e8a",

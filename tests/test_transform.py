@@ -10,7 +10,6 @@ from racefixer.transform import (
     UNLOCK_MARKER,
     UnknownVariable,
     UnsupportedControlFlow,
-    check_lock_balance,
     coalesce,
     fix_else_if,
     fix_if_with_else,
@@ -21,6 +20,7 @@ from racefixer.transform import (
 )
 
 from conftest import corpus
+from lock_balance import check_lock_balance
 
 
 def normalized(text: str, variable: str) -> list[str]:
@@ -183,14 +183,13 @@ GOLDEN_ELSE_IF_EXPECTED = """int RACE;
 pthread_mutex_t __rf_mutex_RACE = PTHREAD_MUTEX_INITIALIZER;
 int other;
 void *Thread1(void *x) {
-// isolated if statement
-if (other > 10) {
-other = 0;
-}
-// new if statement generated from else if
 // lock added by RaceFixer
 lock(mutex);
-if (RACE) {
+if (other > 10) {
+// unlock added by RaceFixer
+unlock(mutex);
+other = 0;
+} else if (RACE) {
 // unlock added by RaceFixer
 unlock(mutex);
 other = 1;
@@ -297,7 +296,7 @@ class TestIfTemplateEdges:
 
 
 class TestElseIfEdges:
-    def test_three_deep_chain_splits_only_racy_link(self):
+    def test_three_deep_chain_guarded_from_its_head(self):
         source = (
             "int RACE;\nint k;\n\nvoid *Thread1(void *x) {\n"
             "    if (k == 1) {\n"
@@ -312,12 +311,14 @@ class TestElseIfEdges:
         patched = apply_fix(source, "RACE", SourceCoord(9, 16), fix_else_if)
         tree = parse_source(patched)
         assert check_lock_balance(tree) == []
-        # leading chain preserved: the first else-if link still hangs off the head
-        assert "} else if (k == 2) {" in patched
-        # the racy link now stands alone
+        # the chain keeps its shape: one statement, locked above its head
         fn = tree.child_nodes()[-1]
-        top_level_ifs = [s for s in fn.body.statements if s.kind == "IfStmt"]
-        assert len(top_level_ifs) == 2
+        assert [s.kind for s in fn.body.statements] == ["ExprStmt", "IfStmt", "ReturnStmt"]
+        assert "    pthread_mutex_lock(&__rf_mutex_RACE);\n    if (k == 1) {\n" in patched
+        # every arm releases the guard first, the synthesized else included
+        unlock = "        pthread_mutex_unlock(&__rf_mutex_RACE);\n"
+        for arm in ("if (k == 1) {", "} else if (k == 2) {", "} else if (RACE) {", "} else {"):
+            assert f"{arm}\n        {UNLOCK_MARKER}\n{unlock}" in patched
 
     def test_own_else_stays_attached(self):
         source = (
@@ -335,15 +336,11 @@ class TestElseIfEdges:
         tree = parse_source(patched)
         assert check_lock_balance(tree) == []
         fn = tree.child_nodes()[-1]
-        new_if = [s for s in fn.body.statements if s.kind == "IfStmt"][1]
-        assert new_if.els is not None
-        assert "k = 30;" in emit(new_if.els)
-
-    def test_semantics_note_attached(self):
-        tree = parse_source(GOLDEN_ELSE_IF_INPUT)
-        handle = locate(tree, "RACE", SourceCoord(7, 16))
-        patch = fix_else_if(handle, plan_mutex("RACE", tree))
-        assert any("changes behavior" in note for note in patch.notes)
+        (head,) = [s for s in fn.body.statements if s.kind == "IfStmt"]
+        racy = head.els
+        assert racy.kind == "IfStmt" and racy.els is not None
+        assert "k = 30;" in emit(racy.els)
+        assert racy.els.statements[0].expr.callee.name == "pthread_mutex_unlock"
 
 
 class TestWhileEdges:
