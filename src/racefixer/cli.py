@@ -96,12 +96,8 @@ def _cmd_fix(args) -> int:
 
 def _cmd_detect(args) -> int:
     text = Path(args.source).read_text(encoding="utf-8")
-    tree = cst.parse_source(text)
-    verdict = detector.explore(tree, bound=args.bound)
-    races, advisories = detector.hybrid_verdict(
-        verdict.hb_races, verdict.lockset_races, args.lockset_mode,
-        Path(args.source).name,
-    )
+    races, verdict, advisories = driver._detect(cst.parse_source(text), args.bound,
+                                                args.lockset_mode, Path(args.source).name)
     if args.tsan_format:
         mode_races = detector.select_races(verdict.hb_races, verdict.lockset_races,
                                            args.lockset_mode)

@@ -2,9 +2,9 @@
 
 The tree keeps every character of the input: each token stores the
 whitespace and comments that precede it, so emitting the tree reproduces
-the source exactly.  Rewrites are expressed as span-anchored text edits
-applied to the original text, and the patched text is re-parsed from
-scratch (parse, edit, re-parse).
+the source exactly.  Rewrites are insertions into the original text at
+given offsets, and the patched text is re-parsed from scratch (parse,
+edit, re-parse).
 
 Grammar accepted (top level):
 
@@ -88,10 +88,6 @@ class ParseError(Exception):
 
 class NotFoundError(Exception):
     """No identifier matching a reported coordinate exists in the tree."""
-
-
-class OverlapError(Exception):
-    """Two text edits in one batch cover intersecting spans."""
 
 
 class Span(namedtuple("Span", "start_offset end_offset start end")):
@@ -190,9 +186,10 @@ class StatementHandle(namedtuple("StatementHandle", "node role identifier reason
     __slots__ = ()
 
 
-class TextEdit(namedtuple("TextEdit", "start end replacement kind mutex anchor order_col",
+class TextEdit(namedtuple("TextEdit", "start replacement kind mutex anchor order_col",
                           defaults=(None, None, -1, 0))):
-    """Span-anchored replacement; zero-width span means insertion.
+    """An insertion of ``replacement`` at text offset ``start``; no edit
+    removes text.
 
     ``kind``/``mutex``/``anchor``/``order_col`` are bookkeeping the
     transform engine uses to order and coalesce patches; they do not
@@ -665,34 +662,12 @@ def locate(tree: CstNode, variable: str, at: SourceCoord) -> StatementHandle:
 # ---------------------------------------------------------------------------
 
 
-def _apply_order(edits: list[TextEdit]) -> list[int]:
-    # Zero-width edits sort before wider ones at the same offset so that
-    # an insertion at the boundary of a replacement stays outside it.
-    return sorted(range(len(edits)), key=lambda i: (edits[i].start, edits[i].end, i))
-
-
-def check_overlaps(edits: list[TextEdit]) -> TextEdit | None:
-    """Return one offending edit if any two spans truly intersect.
-
-    Spans are half-open; zero-width insertions at another edit's
-    boundary do not count as overlap.
-    """
-    max_end = -1
-    for i in _apply_order(edits):
-        edit = edits[i]
-        if edit.start < max_end:
-            return edit
-        max_end = max(max_end, edit.end)
-    return None
-
-
 def apply_edits(text: str, edits: list[TextEdit]) -> str:
-    """Apply non-overlapping edits; insertion ties keep list order."""
-    bad = check_overlaps(edits)
-    if bad is not None:
-        raise OverlapError(f"overlapping edit at offsets {bad.start}..{bad.end}")
-    result = text
-    for i in reversed(_apply_order(edits)):
-        edit = edits[i]
-        result = result[: edit.start] + edit.replacement + result[edit.end :]
-    return result
+    """Insert every edit into `text`; insertions at one offset keep list order."""
+    pieces = []
+    done = 0
+    for edit in sorted(edits, key=lambda e: e.start):  # stable
+        pieces += (text[done : edit.start], edit.replacement)
+        done = edit.start
+    pieces.append(text[done:])
+    return "".join(pieces)

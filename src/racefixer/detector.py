@@ -97,8 +97,7 @@ def _with(clock: tuple, tid: int, count: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class AccessRecord(namedtuple("AccessRecord",
-                              "variable kind thread clock lockset coord function")):
+class AccessRecord(namedtuple("AccessRecord", "kind thread clock lockset coord function")):
     """One side of a race; `kind` is "read" or "write"."""
 
     __slots__ = ()
@@ -172,9 +171,9 @@ def _site(kind: str, place: tuple, function: str, number: int) -> tuple:
     return (kind, place, function, number * MAX_THREADS)
 
 
-def _record(variable: str, access: tuple) -> AccessRecord:
+def _record(access: tuple) -> AccessRecord:
     thread, clock, lockset, (kind, place, function, _) = access
-    return AccessRecord(variable, kind, thread, clock, lockset, SourceCoord(*place), function)
+    return AccessRecord(kind, thread, clock, lockset, SourceCoord(*place), function)
 
 
 def hb_check(current: tuple, priors) -> list:
@@ -735,7 +734,7 @@ def _found(races: dict, var: str, current: tuple, prior: tuple) -> None:
     a, b = current[3][1], prior[3][1]
     key = (var, a, b) if a <= b else (var, b, a)
     if key not in races:
-        races[key] = DetectedRace(var, _record(var, current), _record(var, prior))
+        races[key] = DetectedRace(var, _record(current), _record(prior))
 
 
 class _Variable:

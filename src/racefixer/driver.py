@@ -126,12 +126,12 @@ def render_diff(before: str, after: str, name: str = "source") -> str:
     return "".join(diff)
 
 
-def _detect(tree, config: FixConfig, source_name: str):
+def _detect(tree, bound: int, lockset_mode: str, source_name: str):
     """Run the built-in detector on a parsed text; returns (race set,
-    verdict, advisories)."""
-    verdict = race_detector.explore(tree, bound=config.bound)
+    verdict, advisories).  `fix` and `detect` both detect through here."""
+    verdict = race_detector.explore(tree, bound=bound)
     races, advisories = race_detector.hybrid_verdict(
-        verdict.hb_races, verdict.lockset_races, config.lockset_mode, source_name
+        verdict.hb_races, verdict.lockset_races, lockset_mode, source_name
     )
     return races, verdict, advisories
 
@@ -225,7 +225,9 @@ def _patch_round(tree, text: str, races: RaceSet, record: IterationRecord,
 
     A race whose patch coalesce defers is left for the next detection
     when `retry`, and skipped otherwise.  Returns the patched text and
-    its parse, or None when no edit is left.
+    its parse, or None when no edit is left or the patched text does not
+    parse: the patches are then at fault, not the input, and the round
+    is rolled back.
     """
     groups = _plan_patches(tree, races, record, diagnostics)
     coalesced = transform.coalesce([group.patch for group in groups], text)
@@ -244,7 +246,14 @@ def _patch_round(tree, text: str, races: RaceSet, record: IterationRecord,
     if not coalesced.edits:
         return None
     new_text = cst.apply_edits(text, coalesced.edits)
-    return new_text, cst.parse_source(new_text)  # the patched text must stay parseable
+    try:
+        return new_text, cst.parse_source(new_text)
+    except cst.ParseError as exc:
+        diagnostics.append(Diagnostic(
+            "error", f"iteration {record.index}: the patched text does not parse "
+                     f"({exc}); rolled back",
+        ))
+        return None
 
 
 def run(config: FixConfig) -> FixReport:
@@ -263,7 +272,7 @@ def run(config: FixConfig) -> FixReport:
 def _fix_builtin(config: FixConfig, text: str, source_name: str, report: FixReport) -> str:
     """Detect, patch and re-detect; sets the status and returns the final text."""
     tree = cst.parse_source(text)  # shared by detection and planning
-    races, verdict, advisories = _detect(tree, config, source_name)
+    races, verdict, advisories = _detect(tree, config.bound, config.lockset_mode, source_name)
     report.diagnostics.extend(advisories)
 
     report.status = STATUS_CAP
@@ -277,7 +286,8 @@ def _fix_builtin(config: FixConfig, text: str, source_name: str, report: FixRepo
         if patched is None:
             report.status = STATUS_NOTHING
             break
-        races, verdict, advisories = _detect(patched[1], config, source_name)
+        races, verdict, advisories = _detect(patched[1], config.bound,
+                                             config.lockset_mode, source_name)
         introduced = [d for d in verdict.deadlocks if d.involves(MUTEX_PREFIX)]
         if introduced:
             report.diagnostics.append(Diagnostic(

@@ -1,8 +1,8 @@
 """Mutex synthesis and the five lock-insertion templates.
 
 Given a located statement and the racy variable, the engine plans a
-per-variable mutex (declared right after the variable) and emits text
-edits that wrap the statement:
+per-variable mutex (declared right after the variable) and emits the
+text insertions that wrap the statement; no edit removes text:
 
 * plain statement        -> lock the line above, unlock the line below
 * if with else           -> lock above the ``if``, unlock first in both branches
@@ -17,7 +17,8 @@ and re-running the engine on its own output is a no-op.  ``coalesce``
 merges patches: one mutex declaration per variable, and an unlock
 immediately followed by a lock of the same mutex (nothing but blank
 space or comments between) cancels out, fusing adjacent critical
-sections.
+sections.  A patch whose synthesized braces or ``else`` would land where
+another guard's patch inserts is left for a later round.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .cst import (
     StatementHandle,
     TextEdit,
     chain_head,
-    check_overlaps,
 )
 
 MUTEX_PREFIX = "__rf_mutex_"
@@ -67,7 +67,7 @@ class UnsupportedControlFlow(Exception):
     """The template would leave the lock state wrong on some path."""
 
 
-class MutexPlan(namedtuple("MutexPlan", "variable mutex_name decl_insertion")):
+class MutexPlan(namedtuple("MutexPlan", "mutex_name decl_insertion")):
     """`decl_insertion` is None when the file already declares the mutex."""
 
     __slots__ = ()
@@ -227,7 +227,7 @@ def plan_mutex(variable: str, tree: CstNode) -> MutexPlan:
     decl = None
     for child in tree.child_nodes():
         if child.kind == MUTEX_DECL and child.name == mutex_name:
-            return MutexPlan(variable, mutex_name, None)
+            return MutexPlan(mutex_name, None)
         if child.kind == VAR_DECL and child.name == variable:
             decl = child
     if decl is None:
@@ -237,10 +237,10 @@ def plan_mutex(variable: str, tree: CstNode) -> MutexPlan:
     newline = text.find("\n", decl.span.end_offset)
     line = f"pthread_mutex_t {mutex_name} = PTHREAD_MUTEX_INITIALIZER;"
     if newline < 0:
-        edit = TextEdit(len(text), len(text), f"\n{line}\n", kind="decl", mutex=mutex_name)
+        edit = TextEdit(len(text), f"\n{line}\n", kind="decl", mutex=mutex_name)
     else:
-        edit = TextEdit(newline + 1, newline + 1, f"{line}\n", kind="decl", mutex=mutex_name)
-    return MutexPlan(variable, mutex_name, edit)
+        edit = TextEdit(newline + 1, f"{line}\n", kind="decl", mutex=mutex_name)
+    return MutexPlan(mutex_name, edit)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +257,7 @@ def _lock_before(text: str, stmt: CstNode, plan: MutexPlan, order_col: int) -> T
     else:
         pos = start
         block = f"{LOCK_MARKER}\n{ind}{plan.lock_call}\n{ind}"
-    return TextEdit(pos, pos, block, kind="lock", mutex=plan.mutex_name,
+    return TextEdit(pos, block, kind="lock", mutex=plan.mutex_name,
                     anchor=start, order_col=order_col)
 
 
@@ -271,7 +271,7 @@ def _unlock_after(text: str, stmt: CstNode, plan: MutexPlan, order_col: int) -> 
         block = f"\n{ind}{UNLOCK_MARKER}\n{ind}{plan.unlock_call}\n{ind}"
     else:
         block = f"{ind}{UNLOCK_MARKER}\n{ind}{plan.unlock_call}\n"
-    return TextEdit(pos, pos, block, kind="unlock", mutex=plan.mutex_name,
+    return TextEdit(pos, block, kind="unlock", mutex=plan.mutex_name,
                     anchor=end, order_col=order_col)
 
 
@@ -279,28 +279,32 @@ def _branch_entry_unlock(patch: Patch, text: str, branch: CstNode, anchor_ind: s
                          unit: str, order_col: int) -> None:
     """Unlock as the first statement of a branch, bracing it if needed.
 
-    A braced branch that shares its first line with the ``if``, ``else`` or
-    ``while`` moves to its own line inside the new block, so each of its
-    other lines moves one level in; `coalesce` moves the edits other
-    patches make inside it along with it.
+    A braced branch whose first statement shares the ``{`` line gets that
+    statement onto a line of its own after the unlock.  An unbraced branch
+    that shares its first line with the ``if``, ``else`` or ``while``
+    moves to its own line inside the new block, so each of its other
+    lines moves one level in; `coalesce` moves the edits other patches
+    make inside it along with it.
     """
     plan = patch.mutex
     body_ind = anchor_ind + unit
     if branch.kind == COMPOUND_STMT:
         pos = branch.lbrace.end
         block = f"\n{body_ind}{UNLOCK_MARKER}\n{body_ind}{plan.unlock_call}"
-        patch.edits.append(TextEdit(pos, pos, block, kind="unlock", mutex=plan.mutex_name,
+        if branch.statements and "\n" not in text[pos : branch.statements[0].span.start_offset]:
+            block += f"\n{body_ind}"
+        patch.edits.append(TextEdit(pos, block, kind="unlock", mutex=plan.mutex_name,
                                     anchor=pos, order_col=order_col))
         return
     start, end = branch.span.start_offset, branch.span.end_offset
     open_block = f"{{\n{body_ind}{UNLOCK_MARKER}\n{body_ind}{plan.unlock_call}\n{body_ind}"
-    patch.edits.append(TextEdit(start, start, open_block, kind="brace_unlock",
+    patch.edits.append(TextEdit(start, open_block, kind="brace_unlock",
                                 mutex=plan.mutex_name, anchor=start, order_col=order_col))
     if not _starts_its_line(text, start):
-        patch.edits.extend(TextEdit(m.end(), m.end(), unit, kind="indent")
+        patch.edits.extend(TextEdit(m.end(), unit, kind="indent")
                            for m in _INNER_LINE_RE.finditer(text, start, end))
         patch.moved.append((start, end))
-    patch.edits.append(TextEdit(end, end, f"\n{anchor_ind}}}", kind="brace", anchor=end,
+    patch.edits.append(TextEdit(end, f"\n{anchor_ind}}}", kind="brace", anchor=end,
                                 order_col=order_col))
 
 
@@ -309,7 +313,7 @@ def _refold_close(patch: Patch, before: str, after: str, kind: str, col: int) ->
     unbraced branch by one insertion of `kind`: `before`, the brace, `after`."""
     close = patch.edits.pop()
     assert close.kind == "brace"
-    patch.edits.append(TextEdit(close.start, close.end, before + close.replacement + after,
+    patch.edits.append(TextEdit(close.start, before + close.replacement + after,
                                 kind=kind, mutex=patch.mutex.mutex_name,
                                 anchor=close.start, order_col=col))
 
@@ -327,7 +331,7 @@ def _unlock_both_arms(patch: Patch, text: str, ifnode: CstNode, ind: str, unit: 
     synth = f" else {{\n{body_ind}{UNLOCK_MARKER}\n{body_ind}{mutex.unlock_call}\n{ind}}}"
     if ifnode.then.kind == COMPOUND_STMT:
         pos = ifnode.then.rbrace.end
-        patch.edits.append(TextEdit(pos, pos, synth, kind="else_synth",
+        patch.edits.append(TextEdit(pos, synth, kind="else_synth",
                                     mutex=mutex.mutex_name, anchor=pos, order_col=col))
     else:
         _refold_close(patch, "", synth, "else_synth", col)
@@ -445,7 +449,7 @@ def fix_while(handle: StatementHandle, mutex: MutexPlan) -> Patch:
         pos, block = _line_start(text, rb.offset), f"{relock}\n"
     else:
         pos, block = rb.offset, f"\n{relock}\n{ind}"
-    patch.edits.append(TextEdit(pos, pos, block, kind="lock", mutex=mutex.mutex_name,
+    patch.edits.append(TextEdit(pos, block, kind="lock", mutex=mutex.mutex_name,
                                 anchor=rb.offset, order_col=col))
     patch.edits.append(_unlock_after(text, w, mutex, col))
     return patch
@@ -482,35 +486,21 @@ def _patches_conflict(a: Patch, b: Patch) -> bool:
 def coalesce(patches: list[Patch], text: str) -> CoalesceResult:
     """Combine patches: shared declarations, merged critical sections.
 
-    Duplicate patches are dropped, overlapping ones are deferred (the
-    later race needs another round), and an unlock
+    A patch whose synthesized structure lands where an earlier patch
+    edits is deferred (the later race needs another round), and an unlock
     insertion immediately followed by a lock insertion of the same mutex
     cancels out.  The returned edit list is ordered; at equal offsets,
     locks whose access appears first in the statement come first.
     """
-    live = [p for p in patches if not p.empty]
-    deferred: list[tuple[Patch, str]] = []
-
-    seen: set[tuple] = set()
-    unique: list[Patch] = []
-    for patch in live:
-        key = (patch.template, patch.mutex.mutex_name,
-               tuple((e.start, e.end) for e in patch.edits))
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(patch)
-
     accepted: list[Patch] = []
-    accepted_edits: list[TextEdit] = []
-    for patch in unique:
+    deferred: list[tuple[Patch, str]] = []
+    for patch in patches:
+        if patch.empty:
+            continue
         if any(_patches_conflict(patch, earlier) for earlier in accepted):
             deferred.append((patch, "conflicts with an earlier patch"))
-        elif check_overlaps(accepted_edits + patch.edits) is None:
-            accepted.append(patch)
-            accepted_edits.extend(patch.edits)
         else:
-            deferred.append((patch, "edits overlap an earlier patch"))
+            accepted.append(patch)
 
     decls: dict[str, TextEdit] = {}
     for patch in accepted:
@@ -543,8 +533,7 @@ def coalesce(patches: list[Patch], text: str) -> CoalesceResult:
                 a.kind == "unlock"
                 and b.kind == "lock"
                 and a.mutex == b.mutex
-                and a.end <= b.start
-                and _blank_or_comments(text[a.end : b.start])
+                and _blank_or_comments(text[a.start : b.start])
             ):
                 del edits[i + 1]
                 del edits[i]

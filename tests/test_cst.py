@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from racefixer import ParseError, cst, parse_source
-from racefixer.cst import NotFoundError, OverlapError, TextEdit, apply_edits, emit, locate
+from racefixer.cst import NotFoundError, TextEdit, apply_edits, emit, locate
 from racefixer.reports import SourceCoord
 
 from conftest import corpus, corpus_files
@@ -287,38 +287,25 @@ class TestApplyEdits:
         assert apply_edits("abc", []) == "abc"
 
     def test_two_insertions(self):
-        edits = [TextEdit(0, 0, "X"), TextEdit(3, 3, "Y")]
+        edits = [TextEdit(0, "X"), TextEdit(3, "Y")]
         assert apply_edits("abcdef", edits) == "XabcYdef"
 
     def test_insertion_semantics_at_zero(self):
-        assert apply_edits("abc", [TextEdit(0, 0, "x")]) == "xabc"
+        assert apply_edits("abc", [TextEdit(0, "x")]) == "xabc"
 
     def test_same_offset_keeps_list_order(self):
-        edits = [TextEdit(1, 1, "A"), TextEdit(1, 1, "B")]
+        edits = [TextEdit(1, "A"), TextEdit(1, "B")]
         assert apply_edits("xy", edits) == "xABy"
 
-    def test_replacement(self):
-        assert apply_edits("hello", [TextEdit(1, 4, "XY")]) == "hXYo"
-
-    def test_overlap_rejected(self):
-        edits = [TextEdit(0, 3, "A"), TextEdit(2, 5, "B")]
-        with pytest.raises(OverlapError):
-            apply_edits("abcdef", edits)
-
-    def test_insertion_inside_replacement_rejected(self):
-        edits = [TextEdit(0, 4, "A"), TextEdit(2, 2, "B")]
-        with pytest.raises(OverlapError):
-            apply_edits("abcdef", edits)
-
-    def test_insertion_at_boundaries_allowed(self):
-        edits = [TextEdit(1, 3, "R"), TextEdit(1, 1, "L"), TextEdit(3, 3, "X")]
-        assert apply_edits("abcd", edits) == "aLRXd"
+    def test_unsorted_edits_keep_list_order_per_offset(self):
+        edits = [TextEdit(3, "Y"), TextEdit(0, "X"), TextEdit(3, "Z")]
+        assert apply_edits("abcdef", edits) == "XabcYZdef"
 
     @given(st.text(max_size=40), st.data())
     def test_single_insertion_properties(self, text, data):
         pos = data.draw(st.integers(0, len(text)))
         insert = data.draw(st.text(max_size=10))
-        result = apply_edits(text, [TextEdit(pos, pos, insert)])
+        result = apply_edits(text, [TextEdit(pos, insert)])
         assert len(result) == len(text) + len(insert)
         assert result[:pos] == text[:pos]
         assert result[pos + len(insert) :] == text[pos:]

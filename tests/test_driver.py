@@ -4,12 +4,24 @@ import inspect
 
 import pytest
 
-from racefixer import FixConfig, UnsupportedConstruct, explore, parse_source, run
+from racefixer import FixConfig, UnsupportedConstruct, explore, parse_source, run, transform
 from racefixer.cli import main as cli_main
+from racefixer.cst import TextEdit
+from racefixer.detector import render_tsan_log
 from racefixer.driver import STATUS_CLEAN, STATUS_DEADLOCK, STATUS_NOTHING, render_diff
 from racefixer.reports import SourceCoord
 
 from conftest import FIXTURES_DIR, corpus, fixture, within_seconds
+from lock_balance import check_lock_balance
+
+
+def worker_program(body: str) -> str:
+    """A worker running `body` on globals R and x, while main writes R."""
+    return (
+        "int R;\nint x;\n\nvoid *Worker(void *arg) {\n" + body + "    return 0;\n}\n\n"
+        "int main() {\n    pthread_t t;\n    pthread_create(&t, 0, Worker, 0);\n"
+        "    R = 0;\n    pthread_join(t, 0);\n    return 0;\n}\n"
+    )
 
 
 class TestRunBuiltin:
@@ -123,6 +135,81 @@ class TestRunBuiltin:
         assert "pthread_mutex_lock(&__rf_mutex_G);\n    if (G > 1) {\n" in thread1
         assert thread1.count("pthread_mutex_unlock(&__rf_mutex_G);") == 3
 
+    def test_two_races_on_one_statement_share_one_patch(self, tmp_path):
+        # the worker's read and write of R are two races with main's write,
+        # both landing on one statement of each thread: one patch each
+        path = tmp_path / "prog.c"
+        path.write_text(worker_program("    R = R + 1;\n"))
+        report = run(FixConfig(source=str(path)))
+        assert report.log_lines()[0] == "iteration=1 races=2 fixed=2 skipped=0"
+        assert report.status == STATUS_CLEAN
+        assert report.final_text.count("pthread_mutex_lock(&__rf_mutex_R);\n    R = ") == 2
+        assert report.final_text.count("pthread_mutex_unlock(&__rf_mutex_R);") == 2
+
+    @pytest.mark.parametrize("branch,statement", [
+        ("    if (R) { x = 8; }\n", "x = 8;"),
+        ("    while (R) { x = x + 1; }\n", "x = x + 1;"),
+    ], ids=["if", "while"])
+    def test_statement_on_the_brace_line_moves_below_the_unlock(self, tmp_path, branch,
+                                                                 statement):
+        path = tmp_path / "prog.c"
+        path.write_text(worker_program(branch))
+        report = run(FixConfig(source=str(path)))
+        assert report.status == STATUS_CLEAN
+        lines = report.final_text.splitlines()
+        (at,) = [i for i, line in enumerate(lines) if statement in line]
+        assert lines[at].lstrip().startswith(statement)
+        assert lines[at - 1].strip() == "pthread_mutex_unlock(&__rf_mutex_R);"
+        assert check_lock_balance(parse_source(report.final_text)) == []
+        path.write_text(report.final_text)
+        again = run(FixConfig(source=str(path)))
+        assert again.log_lines() == ["iteration=1 races=0 fixed=0 skipped=0", "status=Clean"]
+        assert again.final_text == report.final_text
+
+
+class TestUnparsablePatch:
+    """A patched text that does not parse is the patches' fault, not the
+    input's: the round is rolled back and the fix ends NothingFixable."""
+
+    @pytest.fixture(autouse=True)
+    def stray_brace(self, monkeypatch):
+        original = transform.fix_plain
+
+        def fix_plain(handle, mutex):
+            patch = original(handle, mutex)
+            patch.edits.append(TextEdit(patch.edits[0].start, "}\n"))
+            return patch
+
+        monkeypatch.setattr(transform, "fix_plain", fix_plain)
+
+    def _source(self, tmp_path):
+        path = tmp_path / "prog.c"
+        path.write_text(corpus("race_plain.c"))
+        return path
+
+    def assert_rolled_back(self, report):
+        assert report.status == STATUS_NOTHING and report.exit_code == 1
+        assert report.final_text == corpus("race_plain.c")
+        (error,) = [d for d in report.diagnostics if d.severity == "error"]
+        assert error.message.startswith("iteration 1: the patched text does not parse (")
+        assert error.message.endswith("); rolled back")
+
+    def test_builtin_loop(self, tmp_path):
+        self.assert_rolled_back(run(FixConfig(source=str(self._source(tmp_path)))))
+
+    def test_report_loop(self, tmp_path):
+        log = tmp_path / "tsan.log"
+        log.write_text(render_tsan_log(explore(parse_source(corpus("race_plain.c"))).hb_races,
+                                       "prog.c"))
+        self.assert_rolled_back(run(FixConfig(source=str(self._source(tmp_path)),
+                                              detector="report", reports=(str(log),))))
+
+    def test_cli_exits_one_not_as_an_input_error(self, tmp_path, capsys):
+        assert cli_main(["fix", str(self._source(tmp_path)), "--verbose"]) == 1
+        err = capsys.readouterr().err
+        assert "rf-fix: error: iteration 1: the patched text does not parse" in err
+        assert "racefixer: error" not in err
+
 
 # The built-in fix of `deferred_race_program`: the else-if is detached into
 # the new else block, then locked there like any if.
@@ -183,8 +270,6 @@ def deferred_race_program(tmp_path):
     """race_else_if.c plus a write of Level in main, and its report: the
     Mode read in the else-if condition conflicts with the Level patch of
     that chain, so report mode skips it."""
-    from racefixer.detector import render_tsan_log
-
     text = corpus("race_else_if.c").replace("    Mode = 1;\n",
                                             "    Mode = 1;\n    Level = 5;\n")
     source = tmp_path / "prog.c"
@@ -200,8 +285,6 @@ class TestRunReportMode:
         source = tmp_path / "race.c"
         source.write_text(corpus("race_plain.c"))
         verdict = explore(parse_source(corpus("race_plain.c")))
-        from racefixer.detector import render_tsan_log
-
         log = tmp_path / "tsan.log"
         log.write_text(render_tsan_log(verdict.hb_races, "race.c"))
         report = run(FixConfig(source=str(source), detector="report",
@@ -214,8 +297,6 @@ class TestRunReportMode:
     def test_report_mode_patches_program_the_model_rejects(self, tmp_path):
         # report mode never builds the model, so an undeclared name in an
         # unraced statement does not stop it
-        from racefixer.detector import render_tsan_log
-
         source = tmp_path / "race.c"
         source.write_text(corpus("race_plain.c").replace("return Global;",
                                                          "return Global + Missing;"))
@@ -257,8 +338,6 @@ class TestRunReportMode:
     )
 
     def _report_run(self, tmp_path, stale: bool = False, **options):
-        from racefixer.detector import render_tsan_log
-
         source = tmp_path / "prog.c"
         source.write_text(corpus("race_plain.c"))
         verdict = explore(parse_source(corpus("race_plain.c")))

@@ -194,7 +194,7 @@ class TestValueSemantics:
     @pytest.mark.parametrize("record, field", [
         (SourceCoord(1, 2), "line"),
         (race("g", 1, 1, 2, 2), "variable"),
-        (TextEdit(0, 0, "x"), "replacement"),
+        (TextEdit(0, "x"), "replacement"),
     ])
     def test_records_cannot_be_assigned(self, record, field):
         with pytest.raises(AttributeError):

@@ -11,14 +11,18 @@ in order, is pinned too, so a different search of the same size, or the
 same schedules in another order, fails as well.  Races and diagnostics
 are not rolled back: after every schedule those the resumed run has kept
 are compared with what every fresh run so far found, and a digest of the
-whole verdict of every program is pinned.
+whole verdict of every program is pinned.  So is a digest of what
+`fix --verbose` prints and returns on every program, which pins the
+patched text and everything the fix loop reports.
 """
 
 import hashlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from racefixer import explore, parse_source
+from racefixer import cli, explore, parse_source
 from racefixer.reports import Diagnostic
 from racefixer.detector import DEFAULT_STEP_BUDGET, _Dpor, _Run, _Step, build_model, replay
 
@@ -113,6 +117,40 @@ VERDICTS_GENCONC = [
     "bdea959160eae3dc", "3c921feddfff8ea3", "b1be59e2ff8e0a7a", "e9186088e65154bf",
     "1b67eabc88b67b8e", "da5d3c5adca51872", "71f6f8e13e2a1332", "d2cf9df8a7fd3b5d",
     "85f5f9f9ac17f9b9", "3fe6b5ff11eaad3b", "064e06a41c49673f", "77e717d352b6e6bc",
+]
+
+# `fix_digest` of every program: what `fix --verbose` prints and returns.
+FIXES_CORPUS = {
+    "adjacent_merge.c": "488afa9b33dfe80a", "chain3.c": "a445dce29e862d04",
+    "clean_locked.c": "103c9dce9989e655", "comments_heavy.c": "563d9fb344da3e5c",
+    "deadlock_abba.c": "4db43729249b4659", "deadlock_user.c": "7bcfd6d75c588ec8",
+    "decls.c": "22c15acda97bcb5a", "lockset_join.c": "154d469557ac97d6",
+    "lockset_single.c": "597405ce90dc9e3c", "loop_break.c": "5e4680a7f2db8a53",
+    "nested_while_merge.c": "a98ea2b0520f8c1d", "operators.c": "eef3560aeca979ea",
+    "race_else_if.c": "a37611e18749cdd0", "race_else_if_locked_head.c": "ee13746003fb1d4e",
+    "race_if_else.c": "c81e83c9ce6f884f", "race_if_no_else.c": "1fed8785725f3bfd",
+    "race_plain.c": "b92ecb80b3fab800", "race_two_vars.c": "88c37414c8897399",
+    "race_while.c": "b5f03fb927f6996b", "return_race.c": "4353fe5625230b6d",
+    "self_deadlock.c": "7bcfd6d75c588ec8", "single_line.c": "3066263754944b0b",
+    "unbraced.c": "3cf2df021772e4cd", "unlock_unheld.c": "3bdd1ecd9ecf988c",
+}
+
+FIXES_GENCONC = [
+    "3bdd1ecd9ecf988c", "81c6876fc1649d4a", "1234b3595e0f260b", "e3f8ec6851809688",
+    "f109759f98940468", "bee407645296d343", "c8cd065b34060e73", "c3a45e5d9c8e80c8",
+    "8232313218ee30c1", "1a8b05d6e20af04c", "de58e775a60cebaa", "d07c3ff76cffe101",
+    "3bdd1ecd9ecf988c", "dcca63aab7331801", "49af25ab370bfdda", "f4a6939566903784",
+    "282c5223a622ca4b", "75be1019a142117c", "14eb224f384e4456", "07a06aba319d81d0",
+    "d9ca68b03d7da466", "9b6399db25065525", "9e5fe726727fe76a", "c7411d3f3fe1eded",
+    "ff142f40c1fb1887", "e883593895fd5b91", "3bdd1ecd9ecf988c", "09b1589367862fbe",
+    "ca65c7de4ddd2b8f", "60bf039f95b4f0fb", "eae3cd428c83a549", "02f3ad5dc3e214fa",
+    "3bdd1ecd9ecf988c", "43cbc9f984a57f43", "33866e86c01fc3f6", "7dff1053959c6846",
+    "e4e0fdf66629a157", "13b47c8ee062ff0a", "622c83969bc6d710", "8a48a74b6b7238cd",
+    "b3a7fba01350c18c", "ae15c1123e40770d", "aaaa278edcf1d790", "516db7f287f1e37c",
+    "59f9658e08ee58a7", "6c17eed36663be99", "cb8d9151f5665f53", "12ab3d24b7005038",
+    "f6aa0096895d969f", "377612daf0cddd08", "95a60711f1b226bf", "5b7b54fd44bbecb1",
+    "ca4f64982fc073ea", "7cba39d4fd0533dc", "cd39c1efba7076cc", "8176915e14ac909d",
+    "9add94e25c8bbb78", "a6f3c63d6c7f18b6", "1ed4609639a8094f", "86933ef007c357f7",
 ]
 
 # The child faults as soon as it is created, and main then locks a
@@ -382,6 +420,28 @@ def test_corpus_verdicts_are_pinned(path):
 @pytest.mark.parametrize("seed", range(60))
 def test_generated_verdicts_are_pinned(seed):
     assert verdict_digest(generate_concurrent(seed)) == VERDICTS_GENCONC[seed]
+
+
+def fix_digest(path) -> str:
+    """`fix --verbose` on the file at `path`, run in-process, as a short
+    hash of its exit code, standard output and standard error."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["fix", str(path), "--verbose"])
+    text = repr((code, out.getvalue(), err.getvalue()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
+def test_corpus_fixes_are_pinned(path):
+    assert fix_digest(path) == FIXES_CORPUS[path.name]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_generated_fixes_are_pinned(seed, tmp_path):
+    path = tmp_path / "prog.c"
+    path.write_text(generate_concurrent(seed), encoding="utf-8")
+    assert fix_digest(path) == FIXES_GENCONC[seed]
 
 
 @pytest.mark.parametrize("reduction", ["dpor", "none"])

@@ -430,14 +430,6 @@ class TestCoalesce:
         assert patched.count("pthread_mutex_lock(&__rf_mutex_X);") == 1
         assert patched.count("pthread_mutex_lock(&__rf_mutex_Y);") == 1
 
-    def test_duplicate_patches_collapse(self):
-        source = corpus("race_plain.c")
-        patches, _ = self._plain_patches(
-            source, "Global", [SourceCoord(4, 5), SourceCoord(4, 5)]
-        )
-        result = coalesce(patches, source)
-        assert len(result.patches) == 1
-
     def test_edits_in_a_braced_branch_move_in_with_it(self):
         # the inner if shares the outer if's line, so bracing moves it and its
         # body one level in, the merged Count section included; the while
